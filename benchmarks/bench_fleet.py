@@ -1,4 +1,4 @@
-"""Fleet-scale simulation benchmark: spatial index + SoA engine + shards.
+"""Fleet-scale simulation benchmark: spatial index + SoA engine.
 
 Builds city-scale scenarios (:mod:`repro.sim.cityscale`) at
 n in {10^3, 10^4, 10^5} sensors and measures the slot rate of the
@@ -8,16 +8,12 @@ fleet stack against the unindexed reference path:
   (``REPRO_SPATIAL=1``) and the vectorized struct-of-arrays engine
   step;
 - **unindexed**: brute-force all-pairs coverage (``REPRO_SPATIAL=0``)
-  and the scalar per-node-object engine step (``vectorized=False``);
-- **sharded**: the same indexed scenario through
-  :class:`~repro.sim.sharded.ShardedSimulation` with spatial
-  partitioning.
+  and the scalar per-node-object engine step (``vectorized=False``).
 
 Every speedup is measured between provably interchangeable paths:
 **bit-identical simulation payloads are asserted before any timing is
 recorded** -- indexed vs. brute wherever the brute path is tractable
-(up to n = 10^4, which covers the ISSUE's n <= 10^3 floor), and
-sharded vs. single-process at *every* benchmarked size.
+(up to n = 10^4, which covers the n <= 10^3 floor).
 
 Pinned shape (full mode): >= 10x end-to-end slot-rate speedup at
 n = 10^4 over the unindexed path, and the n = 10^5 run completes at a
@@ -39,10 +35,9 @@ from pathlib import Path
 
 from benchmarks.conftest import emit
 from repro.policies.schedule_policy import SchedulePolicy
-from repro.sim.cityscale import CityScenario, city_scenario
+from repro.sim.cityscale import city_scenario
 from repro.sim.engine import SimulationEngine, SimulationResult
 from repro.sim.network import SensorNetwork
-from repro.sim.sharded import ShardedSimulation
 
 #: Fleet sizes of the full sweep (the ISSUE's pinned points).
 FULL_SIZES = (1_000, 10_000, 100_000)
@@ -50,9 +45,6 @@ QUICK_SIZES = (200, 2_000)
 
 #: Simulated slots per run: two base charging periods (T = 4 slots).
 SLOTS = 8
-
-SHARDS = 4
-QUICK_SHARDS = 2
 
 #: Largest size at which the brute-force reference still runs; the
 #: bit-equality gate rides along wherever the reference is computed.
@@ -131,24 +123,7 @@ def run_single(n: int, *, indexed: bool):
     return payload_bytes(result), scenario, setup_seconds, sim_seconds
 
 
-def run_sharded(scenario: CityScenario, shards: int):
-    """Simulate the already-built scenario through the sharded driver."""
-    sharded = ShardedSimulation(
-        num_sensors=scenario.num_sensors,
-        period=scenario.period,
-        utility=scenario.utility,
-        schedule=scenario.round_robin_schedule(),
-        shards=shards,
-        node_periods=scenario.node_periods,
-        positions=scenario.positions,
-    )
-    start = time.perf_counter()
-    result = sharded.run(SLOTS)
-    sim_seconds = time.perf_counter() - start
-    return payload_bytes(result), sim_seconds
-
-
-def measure_size(n: int, shards: int) -> dict:
+def measure_size(n: int) -> dict:
     indexed_payload, scenario, idx_setup, idx_sim = run_single(
         n, indexed=True
     )
@@ -187,35 +162,21 @@ def measure_size(n: int, shards: int) -> dict:
         row["unindexed"] = None
         row["speedup"] = None
 
-    sharded_payload, sharded_sim = run_sharded(scenario, shards)
-    assert sharded_payload == indexed_payload, (
-        f"n={n}: sharded and single-process simulation payloads diverge"
-    )
-    row["equality"].append(
-        f"sharded({shards})-vs-single: bit-identical"
-    )
-    row["sharded"] = {
-        "shards": shards,
-        "sim_seconds": sharded_sim,
-        "sim_slot_rate": SLOTS / sharded_sim,
-    }
     return row
 
 
 def measure(quick: bool = False) -> dict:
     sizes = QUICK_SIZES if quick else FULL_SIZES
-    shards = QUICK_SHARDS if quick else SHARDS
     return {
         "bench": "fleet",
         "quick": quick,
         "config": {
             "sizes": list(sizes),
             "slots": SLOTS,
-            "shards": shards,
             "brute_reference_max": BRUTE_MAX,
             "cpu_count": os.cpu_count(),
         },
-        "sizes": [measure_size(n, shards) for n in sizes],
+        "sizes": [measure_size(n) for n in sizes],
     }
 
 

@@ -182,49 +182,6 @@ def _report_simulation(planned, sim) -> int:
     return 0 if sim.refused_activations == 0 else 1
 
 
-def _build_sharded(config: dict):
-    """Rebuild the sharded simulate pipeline from its instance config
-    (the ``--shards`` analogue of :func:`_build_engine`; same identical-
-    config contract for resume)."""
-    from repro.sim.sharded import ShardedSimulation
-
-    args = argparse.Namespace(**config)
-    problem = _build_problem(args)
-    planned = solve(problem, method=args.method, rng=args.seed)
-    schedule = planned.periodic if planned.periodic is not None else planned.schedule
-    sharded = ShardedSimulation(
-        num_sensors=problem.num_sensors,
-        period=problem.period,
-        utility=problem.utility,
-        schedule=schedule,
-        shards=config["shards"],
-        jobs=config.get("jobs"),
-    )
-    return sharded, planned, problem
-
-
-def _simulate_sharded(args: argparse.Namespace, config: dict) -> int:
-    sharded, planned, problem = _build_sharded(config)
-    total = problem.total_slots
-    stop = total if args.stop_after is None else min(args.stop_after, total)
-    chunk = args.checkpoint_every or stop or 1
-    sim = sharded.run(0)
-    while sharded.slots_done < stop:
-        sim = sharded.advance(min(chunk, stop - sharded.slots_done))
-        if args.checkpoint:
-            sharded.checkpoint(args.checkpoint, config=config)
-    print(f"shards              : {sharded.num_shards}")
-    status = _report_simulation(planned, sim)
-    if sharded.slots_done < total:
-        hint = (
-            f"; resume with: repro resume --checkpoint {args.checkpoint}"
-            if args.checkpoint
-            else ""
-        )
-        print(f"stopped after {sharded.slots_done}/{total} slots{hint}")
-    return status
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = {
         "sensors": args.sensors,
@@ -234,11 +191,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "method": args.method,
         "seed": args.seed,
     }
-    if getattr(args, "shards", 0) and args.shards > 1:
-        config["shards"] = args.shards
-        if getattr(args, "jobs", None):
-            config["jobs"] = args.jobs
-        return _simulate_sharded(args, config)
     engine, planned, problem = _build_engine(config)
     total = problem.total_slots
     stop = total if args.stop_after is None else min(args.stop_after, total)
@@ -279,8 +231,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if config.get("shards"):
-        return _resume_sharded(args, config)
     engine, planned, problem = _build_engine(config)
     engine.restore(state)
     total = problem.total_slots
@@ -295,23 +245,6 @@ def cmd_resume(args: argparse.Namespace) -> int:
         sim = engine.advance(min(chunk, total - engine.slots_done))
         if args.checkpoint_every:
             save_checkpoint(engine.checkpoint(), args.checkpoint, config=config)
-    return _report_simulation(planned, sim)
-
-
-def _resume_sharded(args: argparse.Namespace, config: dict) -> int:
-    sharded, planned, problem = _build_sharded(config)
-    sharded.restore_from(args.checkpoint)
-    total = problem.total_slots
-    remaining = total - sharded.slots_done
-    print(f"resuming at slot {sharded.slots_done}/{total} ({sharded.num_shards} shards)")
-    if remaining <= 0:
-        return _report_simulation(planned, sharded.result())
-    chunk = args.checkpoint_every or remaining
-    sim = sharded.result()
-    while sharded.slots_done < total:
-        sim = sharded.advance(min(chunk, total - sharded.slots_done))
-        if args.checkpoint_every:
-            sharded.checkpoint(args.checkpoint, config=config)
     return _report_simulation(planned, sim)
 
 
@@ -783,21 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="stop after N slots (with --checkpoint: simulate a crash "
         "and finish later with `repro resume`)",
-    )
-    p_sim.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="partition the fleet into N shards stepped in worker "
-        "processes and merged per slot (bit-identical to single-process; "
-        "see docs/FLEET.md)",
-    )
-    p_sim.add_argument(
-        "--jobs",
-        type=int,
-        metavar="J",
-        help="worker processes for --shards (default: one per shard)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

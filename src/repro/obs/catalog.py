@@ -98,31 +98,6 @@ STANDARD_METRICS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
         (),
         "Point queries cross-checked against brute force",
     ),
-    # -- sharded simulation (sim/sharded.py) ----------------------------
-    (
-        "gauge",
-        "repro_sim_shard_count",
-        (),
-        "Shards in the most recent sharded simulation",
-    ),
-    (
-        "counter",
-        "repro_sim_shard_slots_total",
-        (),
-        "Shard-slots executed by sharded simulations",
-    ),
-    (
-        "histogram",
-        "repro_sim_shard_merge_seconds",
-        (),
-        "Wall time merging per-shard slot records",
-    ),
-    (
-        "counter",
-        "repro_sim_shard_checkpoints_total",
-        (),
-        "Per-shard partition snapshots written",
-    ),
     # -- health monitor (sim/health.py) --------------------------------
     (
         "counter",

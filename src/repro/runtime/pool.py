@@ -164,7 +164,7 @@ def run_tasks(
     order; serving layers use it for liveness reporting.
 
     ``auto_fallback`` (default on) declines the pool when it cannot
-    win: on a single-core machine, or when a serial probe of the first
+    win: with one usable CPU, or when a serial probe of the first
     task shows the whole batch costs less than spawning the workers
     would.  Each downgrade emits a ``pool.fallback`` event and bumps
     ``repro_pool_fallbacks_total``.  Pass ``auto_fallback=False`` to
@@ -186,8 +186,10 @@ def run_tasks(
 
     start_index = 0
     if auto_fallback:
-        if (os.cpu_count() or 1) <= 1:
-            # Worker processes would time-share one core: pure overhead.
+        affinity = getattr(os, "sched_getaffinity", None)
+        if (len(affinity(0)) if affinity else os.cpu_count() or 1) <= 1:
+            # Worker processes would time-share one usable core (taskset
+            # and cpusets shrink the affinity set below cpu_count()).
             _fall_back("single-core", len(items), workers)
             _run_serial(
                 fn, items, range(len(items)), results, telemetry, on_task, deadline

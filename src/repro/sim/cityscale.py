@@ -32,9 +32,7 @@ single seed, deterministically:
 
 Everything downstream is the ordinary stack: coverage sets through the
 spatial index, a :class:`~repro.utility.coverage_count.WeightedCoverageUtility`,
-and either a single :class:`~repro.sim.engine.SimulationEngine` or a
-:class:`~repro.sim.sharded.ShardedSimulation` fed with
-:attr:`CityScenario.positions`.
+and a single :class:`~repro.sim.engine.SimulationEngine`.
 """
 
 from __future__ import annotations
@@ -164,11 +162,6 @@ class CityScenario:
     @property
     def num_targets(self) -> int:
         return self.deployment.num_targets
-
-    @property
-    def positions(self) -> Tuple[Point, ...]:
-        """Sensor coordinates, for spatial shard partitioning."""
-        return self.deployment.sensors
 
     def problem(self, num_periods: int = 1) -> SchedulingProblem:
         """The scheduling problem over the shared base period."""

@@ -88,6 +88,7 @@ class TestAutoFallback:
     def test_single_core_machine_stays_serial(self, monkeypatch):
         get_registry().reset()
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # e.g. macOS
         results, telemetry = run_tasks(square, [1, 2, 3], jobs=4)
         assert results == [1, 4, 9]
         assert all(not t.parallel for t in telemetry)
@@ -98,9 +99,18 @@ class TestAutoFallback:
             == 1
         )
 
+    def test_single_cpu_affinity_stays_serial(self, monkeypatch):
+        get_registry().reset()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # `taskset -c 0` on 2 cores
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        run_tasks(square, [1, 2, 3], jobs=2)
+        assert get_registry().sample_value(
+            "repro_pool_fallbacks_total", reason="single-core"
+        ) == 1
+
     def test_cheap_tasks_stay_serial(self, monkeypatch):
         get_registry().reset()
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         # square costs microseconds: the serial probe shows the batch
         # cannot amortize worker spawns, so no pool is created.
         results, telemetry = run_tasks(square, [1, 2, 3, 4], jobs=2)
@@ -114,7 +124,7 @@ class TestAutoFallback:
         )
 
     def test_expensive_tasks_still_pool(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         results, telemetry = run_tasks(sleepy_square, [2, 3], jobs=2)
         assert results == [4, 9]
         # Task 0 is the serial probe; the rest went to the pool.

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.io.checkpoint import save_checkpoint
 
 
 class TestSolve:
@@ -162,12 +163,19 @@ class TestCheckpointResume:
         assert "cannot read checkpoint" in capsys.readouterr().err
 
     def test_resume_rejects_configless_checkpoint(self, capsys, tmp_path):
-        from repro.io.checkpoint import save_checkpoint
-
         path = tmp_path / "bare.ckpt"
         save_checkpoint({"kind": "engine-state"}, path)
         assert main(["resume", "--checkpoint", str(path)]) == 2
         assert "no rebuild config" in capsys.readouterr().err
+
+    def test_resume_of_sharded_manifest_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "sharded.ckpt"
+        config = {"sensors": 12, "rho": 3, "p": 0.4, "periods": 2,
+                  "method": "greedy", "seed": 0, "shards": 2}
+        save_checkpoint({"kind": "sharded-sim-state", "shards": 2}, path, config=config)
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestTrace:
