@@ -5,7 +5,9 @@ A deployed network does not re-plan from scratch every time a mote
 browns out -- it keeps a *session* open against the planning service
 (``docs/SESSIONS.md``) and streams deltas at it.  This example embeds
 the ``repro serve`` HTTP service in-process and drives one session
-through a storm with plain ``urllib``:
+through a storm over one persistent ``http.client`` connection -- a
+long-lived session client should keep its connection alive, not pay a
+TCP handshake per delta:
 
 1. **create** -- ``POST /v1/session`` solves the instance once and
    returns the schedule plus the session envelope;
@@ -22,9 +24,8 @@ through a storm with plain ``urllib``:
 Run:  python examples/session_client.py
 """
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 
 from repro.serve.app import ServiceConfig, SolveService
 
@@ -43,31 +44,36 @@ CREATE = {
 STORM = [4, 9, 13, 17, 2, 21, 7, 11]
 
 
-def call(url: str, path: str, body=None, method=None) -> tuple:
-    request = urllib.request.Request(
-        url + path,
-        data=None if body is None else json.dumps(body).encode("utf-8"),
+def call(
+    connection: http.client.HTTPConnection, path: str, body=None, method=None
+) -> tuple:
+    """One request on the shared connection; returns (status, body)."""
+    connection.request(
+        method or ("GET" if body is None else "POST"),
+        path,
+        body=None if body is None else json.dumps(body).encode("utf-8"),
         headers={"Content-Type": "application/json"},
-        method=method,
     )
-    try:
-        with urllib.request.urlopen(request, timeout=30) as reply:
-            return reply.status, json.loads(reply.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+    reply = connection.getresponse()
+    return reply.status, json.loads(reply.read())
 
 
-def delta(url: str, session_id: str, document: dict) -> tuple:
-    return call(url, f"/v1/session/{session_id}/delta", {"delta": document})
+def delta(
+    connection: http.client.HTTPConnection, session_id: str, document: dict
+) -> tuple:
+    return call(
+        connection, f"/v1/session/{session_id}/delta", {"delta": document}
+    )
 
 
 def main() -> None:
     with SolveService(ServiceConfig(port=0)) as service:
         url = service.url
         print(f"service listening on {url}\n")
+        conn = http.client.HTTPConnection(*service.address, timeout=30)
 
         print("-- create -------------------------------------------")
-        status, body = call(url, "/v1/session", CREATE)
+        status, body = call(conn, "/v1/session", CREATE)
         assert status == 200, body
         session_id = body["session"]["id"]
         baseline = body["result"]["period_utility"]
@@ -77,7 +83,7 @@ def main() -> None:
         print("-- failure storm ------------------------------------")
         for victim in STORM:
             status, body = delta(
-                url, session_id, {"kind": "sensor-failed", "sensor": victim}
+                conn, session_id, {"kind": "sensor-failed", "sensor": victim}
             )
             assert status == 200, body
             utility = body["result"]["period_utility"]
@@ -91,7 +97,9 @@ def main() -> None:
         print("\n-- recovery (memo hits) -----------------------------")
         for sensor in reversed(STORM):
             status, body = delta(
-                url, session_id, {"kind": "sensor-recovered", "sensor": sensor}
+                conn,
+                session_id,
+                {"kind": "sensor-recovered", "sensor": sensor},
             )
             assert status == 200, body
             print(
@@ -104,7 +112,7 @@ def main() -> None:
 
         print("-- weather: structural shift ------------------------")
         status, body = delta(
-            url, session_id, {"kind": "harvest-shift", "factor": 4.0 / 3.0}
+            conn, session_id, {"kind": "harvest-shift", "factor": 4.0 / 3.0}
         )
         assert status == 200, body
         print(
@@ -117,14 +125,15 @@ def main() -> None:
 
         print("-- teardown -----------------------------------------")
         status, body = call(
-            url, f"/v1/session/{session_id}", method="DELETE"
+            conn, f"/v1/session/{session_id}", method="DELETE"
         )
         print(f"DELETE -> {status} ({body['kind']})")
         status, body = delta(
-            url, session_id, {"kind": "sensor-failed", "sensor": 0}
+            conn, session_id, {"kind": "sensor-failed", "sensor": 0}
         )
         print(f"post-delete delta -> {status} ({body['error']['code']})")
         assert status == 410
+        conn.close()
 
 
 if __name__ == "__main__":

@@ -67,7 +67,7 @@ from repro.obs.export import to_prometheus
 from repro.obs.registry import get_registry
 from repro.runtime.fingerprint import solve_fingerprint
 from repro.serve import schemas
-from repro.serve.handlers import DEADLINE_HEADER
+from repro.serve.handlers import DEADLINE_HEADER, send_reply
 
 _SESSION_ROUTE = re.compile(
     r"^(?:/v1)?/session(?:/(?P<id>[A-Za-z0-9_-]+)"
@@ -554,16 +554,7 @@ class RouterRequestHandler(BaseHTTPRequestHandler):
             ("text/", "application/")
         ):
             content_type = "application/json; charset=utf-8"
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            if status == 429:
-                self.send_header("Retry-After", "1")
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+        send_reply(self, status, content_type, payload)
         registry = get_registry()
         registry.counter(
             "repro_router_requests_total",

@@ -103,6 +103,37 @@ _LATENCY_HELP = "HTTP request wall time by endpoint"
 DEADLINE_HEADER = "X-Repro-Deadline"
 
 
+def send_reply(
+    handler: BaseHTTPRequestHandler,
+    status: int,
+    content_type: str,
+    payload: bytes,
+) -> None:
+    """Write one complete response -- status line, headers, body -- in
+    a single send.
+
+    ``end_headers()`` followed by ``wfile.write(payload)`` is two sends;
+    on a keep-alive connection Nagle's algorithm then holds the small
+    second segment until the client's delayed ACK, about 40 ms per
+    reply.  This does what ``end_headers`` does, with the body appended
+    to the header buffer before the one flush.  The bytes on the wire
+    are unchanged; only their split into segments is.
+    """
+    try:
+        handler.send_response(status)
+        handler.send_header("Content-Type", content_type)
+        handler.send_header("Content-Length", str(len(payload)))
+        if status == 429:
+            handler.send_header("Retry-After", "1")
+        if handler.request_version == "HTTP/0.9":
+            handler.wfile.write(payload)  # 0.9 replies carry no headers
+            return
+        handler._headers_buffer.append(b"\r\n" + payload)
+        handler.flush_headers()
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # client went away; nothing left to tell it
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
     """Routes ``/v1/solve``, ``/v1/simulate``, ``/metrics``, ``/healthz``."""
 
@@ -700,16 +731,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             if endpoint == "metrics" and status == 200
             else "application/json; charset=utf-8"
         )
-        try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            if status == 429:
-                self.send_header("Retry-After", "1")
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away; nothing left to tell it
+        send_reply(self, status, content_type, payload)
 
     def log_message(self, format: str, *args: Any) -> None:
         """Route access logs to the structured event stream, not stderr."""

@@ -5,12 +5,20 @@ single subprocess -- the wire-level behavior is covered end to end in
 ``test_cluster_http.py``.
 """
 
+import http.client
 import json
+import threading
 import time
 
 import pytest
 
-from repro.cluster.router import CLUSTER_HEALTH_KIND, ForwardError, Router
+from repro.cluster.router import (
+    CLUSTER_HEALTH_KIND,
+    ForwardError,
+    Router,
+    RouterHTTPServer,
+    RouterRequestHandler,
+)
 
 
 class StubSupervisor:
@@ -172,3 +180,74 @@ class TestClusterHealth:
         _, body = router.cluster_health()
         assert body["router"]["sessions_routed"] == 1
         assert body["router"]["uptime_seconds"] >= 0
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile``, recording every ``write``."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestKeepAlive:
+    """Every router reply leaves in one write: a reply split into
+    headers and body stalls a keep-alive client ~40 ms (Nagle holds the
+    body until the client's delayed ACK)."""
+
+    def test_replies_on_one_connection_are_single_writes(self):
+        writes = []
+
+        class CountingHandler(RouterRequestHandler):
+            def setup(self):
+                super().setup()
+                self.wfile = _CountingWriter(self.wfile, writes)
+
+        server = RouterHTTPServer(
+            ("127.0.0.1", 0), make_router(addresses={}, retry_attempts=1)
+        )
+        server.RequestHandlerClass = CountingHandler
+        thread = threading.Thread(
+            target=server.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        connection = http.client.HTTPConnection(
+            *server.server_address[:2], timeout=10
+        )
+        try:
+            replies = []
+            for path in (
+                "/healthz",  # all workers down: 503
+                "/v1/session/no-such-id/schedule",  # the router's own 404
+                "/no-such-route",  # nothing to proxy to: 503
+                "/metrics",  # a body past 8 KiB
+            ):
+                mark = len(writes)
+                connection.request("GET", path)
+                response = connection.getresponse()
+                payload = response.read()
+                replies.append((response.status, payload, writes[mark:]))
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+        assert [status for status, _, _ in replies] == [503, 404, 503, 200]
+        assert json.loads(replies[0][1])["status"] == "down"
+        assert json.loads(replies[1][1])["error"]["code"] == "unknown-session"
+        assert len(replies[3][1]) > 8192
+        for status, payload, reply_writes in replies:
+            assert len(reply_writes) == 1, [len(w) for w in reply_writes]
+            assert reply_writes[0].startswith(f"HTTP/1.1 {status} ".encode())
+            assert reply_writes[0].endswith(b"\r\n\r\n" + payload)

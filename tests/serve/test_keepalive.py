@@ -1,0 +1,180 @@
+"""Keep-alive: every reply leaves the service in exactly one write.
+
+A reply written as two sends (headers, then body) stalls on a
+persistent connection: Nagle's algorithm holds the second segment until
+the client's delayed ACK, about 40 ms later.  Clients that open a fresh
+connection per request (``urllib``, one ``curl`` per URL) never see it,
+so these tests drive one ``http.client.HTTPConnection`` through every
+reply shape -- solve miss and hit, structured 400/404/429, a
+``/metrics`` body over 8 KiB -- and count the handler's writes per reply.
+"""
+
+import http.client
+import json
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.serve.handlers import ServiceRequestHandler
+
+from .conftest import solve_body
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile``, recording every ``write``."""
+
+    def __init__(self, inner, log):
+        self._inner = inner
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture
+def keepalive(make_service):
+    """A started service whose handlers log writes, plus one persistent
+    connection to it; yields ``(service, client, exchange)``."""
+    writes = []
+    opened = []
+
+    class CountingHandler(ServiceRequestHandler):
+        def setup(self):
+            super().setup()
+            self.wfile = _CountingWriter(self.wfile, writes)
+
+    def start(**overrides):
+        service, client = make_service(**overrides)
+        service._httpd.RequestHandlerClass = CountingHandler
+        host, port = service.address
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        opened.append(connection)
+
+        def exchange(method, path, body=None, raw=None):
+            """One request on the shared connection; returns
+            ``(response, payload, writes made for this reply)``."""
+            mark = len(writes)
+            data = raw if raw is not None else (
+                None if body is None else json.dumps(body).encode("utf-8")
+            )
+            headers = {"Content-Type": "application/json"} if data else {}
+            connection.request(method, path, body=data, headers=headers)
+            response = connection.getresponse()
+            payload = response.read()
+            return response, payload, writes[mark:]
+
+        return service, client, exchange
+
+    yield start
+    for connection in opened:
+        connection.close()
+
+
+def _assert_one_write(response, payload, reply_writes):
+    assert len(reply_writes) == 1, [len(w) for w in reply_writes]
+    (wire,) = reply_writes
+    assert wire.startswith(f"HTTP/1.1 {response.status} ".encode())
+    assert wire.endswith(b"\r\n\r\n" + payload)
+    assert response.getheader("Content-Length") == str(len(payload))
+
+
+class TestOneWritePerReply:
+    def test_every_reply_shape_on_one_connection(self, keepalive):
+        _, client, exchange = keepalive()
+
+        response, payload, reply_writes = exchange(
+            "POST", "/v1/solve", solve_body()
+        )
+        _assert_one_write(response, payload, reply_writes)
+        assert response.status == 200
+        assert json.loads(payload)["cache"] == "miss"
+
+        response, hit, reply_writes = exchange(
+            "POST", "/v1/solve", solve_body()
+        )
+        _assert_one_write(response, hit, reply_writes)
+        assert json.loads(hit)["cache"] == "hit"
+
+        response, payload, reply_writes = exchange(
+            "POST", "/v1/solve", raw=b"{not json"
+        )
+        _assert_one_write(response, payload, reply_writes)
+        assert response.status == 400
+        assert json.loads(payload)["error"]["code"] == "bad-json"
+
+        response, payload, reply_writes = exchange("GET", "/v2/solve")
+        _assert_one_write(response, payload, reply_writes)
+        assert response.status == 404
+        assert json.loads(payload)["error"]["code"] == "not-found"
+
+        response, payload, reply_writes = exchange("GET", "/metrics")
+        _assert_one_write(response, payload, reply_writes)
+        assert response.status == 200
+        assert len(payload) > 8192  # past BufferedWriter's default size
+        assert response.getheader("Content-Type").startswith("text/plain")
+
+        # The persistent connection answers byte-for-byte what a fresh
+        # urllib connection does.
+        status, _, fresh = client.post("/v1/solve", solve_body())
+        assert status == 200
+        assert fresh == hit
+
+    def test_overload_429_carries_retry_after(self, keepalive):
+        # One in-flight slot held open by a long batch window: the
+        # keep-alive request behind it is shed at the door.
+        service, client, exchange = keepalive(
+            max_queue=1, batch_window=1.0, use_cache=False
+        )
+        holder = threading.Thread(
+            target=client.post, args=("/v1/solve", solve_body(sensors=5))
+        )
+        holder.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while service.batcher.queue_depth() < 1:
+                assert time.monotonic() < deadline, "holder never queued"
+                time.sleep(0.005)
+            response, payload, reply_writes = exchange(
+                "POST", "/v1/solve", solve_body(sensors=6)
+            )
+        finally:
+            holder.join(timeout=30)
+        assert not holder.is_alive()
+        _assert_one_write(response, payload, reply_writes)
+        assert response.status == 429
+        assert response.getheader("Retry-After") == "1"
+        assert json.loads(payload)["error"]["code"] == "overloaded"
+
+    def test_http09_request_gets_a_bare_body(self, make_service):
+        service, client = make_service()
+        _, _, expected = client.get("/healthz")
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")  # no headers follow
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        body = json.loads(b"".join(chunks))
+        assert body["status"] == "ok"
+        assert set(body) == set(json.loads(expected))
+
+
+class TestNoStall:
+    def test_twenty_healthz_on_one_connection(self, keepalive):
+        """Stalled, each reply costs a delayed ACK (~40 ms): 20 take
+        >= 0.8 s.  Sent in one write, they take a few milliseconds."""
+        _, _, exchange = keepalive()
+        exchange("GET", "/healthz")  # warm the handler thread
+        start = time.perf_counter()
+        for _ in range(20):
+            response, _, _ = exchange("GET", "/healthz")
+            assert response.status == 200
+        assert time.perf_counter() - start < 0.4
