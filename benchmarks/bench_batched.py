@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.batched.greedy import solve_batch
 from repro.core.problem import SchedulingProblem
 from repro.core.solver import solve
@@ -207,7 +207,7 @@ def measure(quick: bool = False) -> dict:
             "kernel_rows": [list(row) for row in kernel_rows],
             "serve_batch_width": width,
             "serve_sensors": n,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "kernel": measure_kernel(kernel_rows),
         "serve": measure_serve(width, n),

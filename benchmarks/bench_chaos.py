@@ -16,12 +16,11 @@ this module as the ``chaos-smoke`` job with the same fixed seed.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import time
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.faults.chaos import run_chaos
 from repro.faults.plan import FaultPlan
 
@@ -88,7 +87,7 @@ def measure() -> dict:
         "config": {
             "seed": SEED,
             "requests_per_scenario": REQUESTS,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "scenarios": [run_scenario(scenario) for scenario in SCENARIOS],
     }

@@ -33,7 +33,7 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.policies.schedule_policy import SchedulePolicy
 from repro.sim.cityscale import city_scenario
 from repro.sim.engine import SimulationEngine, SimulationResult
@@ -174,7 +174,7 @@ def measure(quick: bool = False) -> dict:
             "sizes": list(sizes),
             "slots": SLOTS,
             "brute_reference_max": BRUTE_MAX,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "sizes": [measure_size(n) for n in sizes],
     }

@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.core.greedy import GreedyTrace, greedy_schedule
 from repro.core.problem import SchedulingProblem
 from repro.energy.period import ChargingPeriod
@@ -182,7 +182,7 @@ def measure(quick: bool = False) -> dict:
             "greedy_sensor_counts": list(counts),
             "elements_per_sensor": ELEMENTS_PER_SENSOR,
             "sim_slots": slots,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "lazy_greedy": measure_greedy(counts),
         "simulate": measure_simulate(slots),

@@ -23,11 +23,10 @@ shape is enabled-vs-disabled overhead **< 5%**.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.core.greedy import greedy_schedule
 from repro.core.problem import SchedulingProblem
 from repro.energy.period import ChargingPeriod
@@ -108,7 +107,7 @@ def measure() -> dict:
             "sensors": N,
             "slots": SLOTS,
             "repeats": REPEATS,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
             "statistic": "min",
         },
         "simulate_200_slots": {

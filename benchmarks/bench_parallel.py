@@ -28,11 +28,10 @@ batch, and a warm hit is >= 10x faster than the cold solve.
 from __future__ import annotations
 
 import json
-import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.core.problem import SchedulingProblem
 from repro.core.solver import solve
 from repro.energy.period import ChargingPeriod
@@ -112,7 +111,7 @@ def measure() -> dict:
         "bench": "parallel",
         "config": {
             "jobs": JOBS,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
             "replicates": len(tasks),
             "unique_instances": len(UNIQUE_SENSOR_COUNTS),
             "sensor_counts": list(UNIQUE_SENSOR_COUNTS),

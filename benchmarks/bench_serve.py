@@ -21,14 +21,13 @@ throughput (requests/second) and p50/p95 latency per workload.
 from __future__ import annotations
 
 import json
-import os
 import tempfile
 import threading
 import time
 import urllib.request
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.obs.registry import get_registry
 from repro.serve.app import ServiceConfig, SolveService
 
@@ -177,7 +176,7 @@ def measure() -> dict:
             "sensors": SENSORS,
             "clients": CLIENTS,
             "requests_per_client": REQUESTS_PER_CLIENT,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "duplicate_instance": duplicate,
         "distinct_instances": distinct,

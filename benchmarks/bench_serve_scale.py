@@ -29,7 +29,7 @@ import os
 import tempfile
 from pathlib import Path
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.cluster.loadgen import LoadgenConfig, run_loadgen
 from repro.cluster.service import ClusterConfig, ClusterService
 from repro.runtime.cache import aggregate_sidecar_stats
@@ -132,7 +132,7 @@ def measure() -> dict:
             "rps_target": RPS,
             "duration_seconds": DURATION,
             "clients": CLIENTS,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "runs": runs,
         "shared_cache": {**totals, "writers": writers},

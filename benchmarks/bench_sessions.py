@@ -41,13 +41,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, usable_cpus
 from repro.core.problem import SchedulingProblem
 from repro.core.repair import greedy_repair
 from repro.energy.period import ChargingPeriod
@@ -176,7 +175,7 @@ def measure(quick: bool = False) -> dict:
             "failures_per_stream": failures,
             "slots_per_period": PERIOD.slots_per_period,
             "elements_per_sensor": ELEMENTS_PER_SENSOR,
-            "cpu_count": os.cpu_count(),
+            "cpu_count": usable_cpus(),
         },
         "homogeneous": [
             measure_failure_stream(

@@ -10,9 +10,17 @@ fails loudly.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import pytest
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the affinity set, which taskset and
+    cpusets shrink below ``os.cpu_count()`` (the machine's total)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def emit(text: str) -> None:

@@ -213,13 +213,14 @@ def _run_lazy(
     steps: List[GreedyStep] = []
     total = 0.0
 
-    evaluations = 0
     heap: List[Tuple[float, int, int, int]] = []
     for sensor in problem.sensors:
         for slot in range(T):
-            gain = evaluators[slot].gain(sensor)
-            evaluations += 1
-            heapq.heappush(heap, (-gain, sensor, slot, 0))
+            heap.append((-evaluators[slot].gain(sensor), sensor, slot, 0))
+    evaluations = len(heap)
+    # Every (sensor, slot) pair is one unique entry, so heapify pops the
+    # same sequence as pushing the entries one by one.
+    heapq.heapify(heap)
 
     order = 0
     while remaining and heap:

@@ -93,7 +93,21 @@ class PeriodicSchedule:
         return self.assignment.get(sensor)
 
     def active_sets(self) -> Tuple[FrozenSet[int], ...]:
-        """Active sensor set for each slot ``0..T-1`` of the period."""
+        """Active sensor set for each slot ``0..T-1`` of the period.
+
+        Built on first use and kept: the assignment is copied at
+        construction and never mutated, so every later call returns the
+        same tuple of the same frozenset objects.  A simulation that
+        replays the period therefore sees one object per slot, whose
+        hash is computed once.
+        """
+        sets = self.__dict__.get("_active_sets")
+        if sets is None:
+            sets = self._build_active_sets()
+            object.__setattr__(self, "_active_sets", sets)
+        return sets
+
+    def _build_active_sets(self) -> Tuple[FrozenSet[int], ...]:
         sets: List[set] = [set() for _ in range(self.slots_per_period)]
         if self.mode is ScheduleMode.ACTIVE_SLOT:
             for sensor, slot in self.assignment.items():
@@ -109,6 +123,12 @@ class PeriodicSchedule:
     def active_set(self, slot: int) -> FrozenSet[int]:
         """Active set at an absolute slot (wraps around the period)."""
         return self.active_sets()[slot % self.slots_per_period]
+
+    def __getstate__(self) -> Dict:
+        # Pickle only the fields: the derived sets are rebuilt on demand.
+        state = dict(self.__dict__)
+        state.pop("_active_sets", None)
+        return state
 
     # ------------------------------------------------------------------
     # Utility

@@ -22,7 +22,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -36,10 +45,18 @@ from repro.sim.metrics import SlotRecord, UtilityAccumulator
 from repro.sim.network import SensorNetwork
 from repro.sim.node import NodeSlotReport
 from repro.sim.random_model import RandomChargingModel
+from repro.utility.incremental import SlotValueMemo
 
 #: Format tag/version of :meth:`SimulationEngine.checkpoint` payloads.
 ENGINE_STATE_KIND = "engine-state"
 ENGINE_STATE_VERSION = 1
+
+#: Entries kept by each per-distinct-set cache of the slot loop.  A
+#: periodic schedule revisits a few dozen distinct sets (the 20k-sensor
+#: city of ``perfbench`` fleet-day: 4 command sets, 24 active sets in a
+#: 112-slot cycle); a policy that builds a fresh set every slot just
+#: cycles through the bound.
+SLOT_CACHE_ENTRIES = 64
 
 
 @dataclass
@@ -138,6 +155,13 @@ class SimulationEngine:
         self._all_reports: List[List[NodeSlotReport]] = []
         self._refused_total = 0
         self._slots_done = 0
+        # Bounded caches of the slot loop (see _command and
+        # _intern_active).  Not run state, so checkpoint and restore
+        # ignore them and a resumed engine rebuilds them.
+        # id(command frozenset) -> [the set, its mask, sorted ids]
+        self._commands = SlotValueMemo(SLOT_CACHE_ENTRIES)
+        # activity-mask bytes -> (active set, its ascending id tuple)
+        self._active_sets = SlotValueMemo(SLOT_CACHE_ENTRIES)
         # Metric handles are resolved once; per-slot work is then a
         # couple of lock-protected adds (or no-ops under REPRO_OBS=0).
         registry = get_registry()
@@ -214,12 +238,14 @@ class SimulationEngine:
         step_start = time.perf_counter()
         slot = self.network.clock.slot
         commands = self.policy.decide(slot, self.network)
+        command = None
 
         if self._vectorized:
             # Struct-of-arrays fast path: one vectorized pass over the
             # shared NodeArrays, bit-identical to the scalar loop below.
-            was_active, refused = self.network.arrays.step_all(commands)
-            active_set = self.network.arrays.active_frozenset(was_active)
+            command = self._command(commands)
+            was_active, refused = self.network.arrays.step_all(command[1])
+            active_set, active_ids = self._intern_active(was_active)
             reports: List[NodeSlotReport] = []
         else:
             charge_scale = 1.0
@@ -240,6 +266,7 @@ class SimulationEngine:
                     )
                 )
             active_set = frozenset(r.node_id for r in reports if r.was_active)
+            active_ids = None
             refused = sum(1 for r in reports if r.refused_activation)
 
         if self.sensing_filter is not None:
@@ -250,6 +277,7 @@ class SimulationEngine:
             active_set = frozenset(
                 v for v in active_set if self.sensing_filter(v, slot)
             )
+            active_ids = None
         self._refused_total += refused
         record = self._accumulator.record(slot, active_set, refused=refused)
 
@@ -257,13 +285,18 @@ class SimulationEngine:
             self.event_process.step(slot, active_set)
 
         if obs_events.sink_active():
-            # Building the sorted id lists costs O(n log n) per slot at
-            # fleet scale; skip it entirely when nothing is listening.
+            # Sorted id lists cost O(n log n) at fleet scale: on the fast
+            # path built once per distinct set, and not at all when
+            # nothing is listening.
             obs_events.emit(
                 "engine.slot",
                 slot=slot,
-                commanded=sorted(commands),
-                active=sorted(active_set),
+                commanded=self._sorted_ids(commands, command),
+                active=(
+                    active_ids
+                    if active_ids is not None
+                    else sorted(active_set)
+                ),
                 utility=record.utility,
                 refused=refused,
             )
@@ -278,6 +311,64 @@ class SimulationEngine:
             self._m_refusals.inc(refused)
         self._m_slot_utility.set(record.utility)
         self._m_slot_seconds.observe(time.perf_counter() - step_start)
+
+    def _command(self, commands: Iterable[int]) -> List:
+        """``[commands, mask, sorted ids]`` of the slot's commands; the
+        read-only mask feeds ``NodeArrays.step_all``, the sorted ids
+        (filled on first use) the ``engine.slot`` event.
+
+        A frozenset's entry is built once and reused while the policy
+        keeps handing over that same object, as a schedule does every
+        period.  The entry is keyed on the object's identity, so a
+        policy that builds a fresh set every slot pays one int probe
+        and its set is never hashed; the entry holds the set, so its id
+        cannot be reused while the entry lives.
+        """
+        mask_of = self.network.arrays.command_mask
+        if not isinstance(commands, frozenset):
+            return [commands, mask_of(commands), None]
+        entry = self._commands.lookup(id(commands))
+        if entry is None:
+            mask = mask_of(commands)
+            mask.flags.writeable = False
+            entry = self._commands.store(id(commands), [commands, mask, None])
+        return entry
+
+    def _intern_active(
+        self, was_active: np.ndarray
+    ) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
+        """The active set of an activity mask, with its ascending ids.
+
+        This is the fast path's one construction site: a frozenset
+        filled in ascending id order, the same order as the scalar
+        path's node walk.  An equal mask returns the pair built for it
+        before, so every equal active set is the *same* object -- its
+        hash is cached and :class:`~repro.sim.metrics.UtilityAccumulator`
+        memo hits become identity probes.  Reusing the object is
+        bit-exact because a fresh build would lay the set out
+        identically.  The id tuple is the ``engine.slot`` event's
+        ``active`` list, already sorted.
+        """
+        key = was_active.tobytes()
+        interned = self._active_sets.lookup(key)
+        if interned is None:
+            ids = np.flatnonzero(was_active).tolist()
+            interned = self._active_sets.store(
+                key, (frozenset(ids), tuple(ids))
+            )
+        return interned
+
+    @staticmethod
+    def _sorted_ids(
+        commands: Iterable[int], command: Optional[List]
+    ) -> Sequence[int]:
+        """``sorted(commands)``; on the fast path kept in the command
+        entry (as a tuple: every event of that set shares it)."""
+        if command is None:
+            return sorted(commands)
+        if command[2] is None:
+            command[2] = tuple(sorted(commands))
+        return command[2]
 
     # ------------------------------------------------------------------
     # Checkpoint / resume

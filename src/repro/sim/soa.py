@@ -22,7 +22,7 @@ in ``tests/sim/`` pins this.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -68,9 +68,10 @@ class NodeArrays:
     # Vectorized slot stepping
     # ------------------------------------------------------------------
 
-    def step_all(self, commands: Iterable[int]) -> Tuple[np.ndarray, int]:
+    def step_all(self, activate: np.ndarray) -> Tuple[np.ndarray, int]:
         """Advance every node through one slot (unit drain/charge scales).
 
+        ``activate`` is the slot's :meth:`command_mask`; it is only read.
         The vectorized translation of ``SimulatedNode.step`` with
         ``drain_scale == charge_scale == 1.0``; see the module
         docstring for why the results are bit-identical.
@@ -81,10 +82,6 @@ class NodeArrays:
         """
         state = self.state
         level = self.level
-        activate = np.zeros(self.num_nodes, dtype=bool)
-        ids = [v for v in commands if 0 <= v < self.num_nodes]
-        if ids:
-            activate[ids] = True
 
         ready = state == _READY
         active = state == _ACTIVE
@@ -127,10 +124,14 @@ class NodeArrays:
 
         return was_active, refused_count
 
-    def active_frozenset(self, was_active: np.ndarray) -> FrozenSet[int]:
-        """Ascending-id frozenset of the mask -- the engine's canonical
-        active-set construction order (plain Python ints)."""
-        return frozenset(np.flatnonzero(was_active).tolist())
+    def command_mask(self, commands: Iterable[int]) -> np.ndarray:
+        """Boolean mask of the commanded node ids; ids outside
+        ``0..num_nodes-1`` are ignored, as the scalar step ignores them."""
+        mask = np.zeros(self.num_nodes, dtype=bool)
+        ids = [v for v in commands if 0 <= v < self.num_nodes]
+        if ids:
+            mask[ids] = True
+        return mask
 
     # ------------------------------------------------------------------
     # Per-slot scalar access (the SimulatedNode view path)

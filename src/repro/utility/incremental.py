@@ -58,6 +58,7 @@ import os
 from typing import (
     Any,
     Dict,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -721,13 +722,19 @@ def flush_ops(
 
 
 class SlotValueMemo:
-    """Content-keyed memo of per-slot utility evaluations.
+    """Content-keyed, bounded memo of per-slot values.
 
     Periodic operation evaluates the *same* active sets over and over
     (an unrolled schedule repeats its period ``alpha`` times; a
     simulated network settles into its schedule's cycle).  The memo
     keys on the active frozenset and returns the stored evaluation for
-    equal sets.
+    equal sets.  The simulation engine also uses it for the other
+    per-distinct-set products of its slot loop (command masks, interned
+    active sets, sorted id lists).
+
+    At most ``max_entries`` keys are kept; storing one more evicts the
+    oldest insertion.  A lookup does not reorder, so a hit costs one
+    dict probe.
 
     Bit-exactness caveat: two equal sets can in principle iterate in
     different orders if they were built by different insertion
@@ -740,7 +747,7 @@ class SlotValueMemo:
     """
 
     def __init__(self, max_entries: int = 4096):
-        self._entries: Dict[SensorSet, Any] = {}
+        self._entries: Dict[Hashable, Any] = {}
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
@@ -748,7 +755,7 @@ class SlotValueMemo:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: SensorSet) -> Any:
+    def lookup(self, key: Hashable) -> Any:
         found = self._entries.get(key)
         if found is None:
             self.misses += 1
@@ -756,6 +763,10 @@ class SlotValueMemo:
             self.hits += 1
         return found
 
-    def store(self, key: SensorSet, value: Any) -> None:
-        if len(self._entries) < self._max_entries:
-            self._entries[key] = value
+    def store(self, key: Hashable, value: Any) -> Any:
+        """Store ``value`` under ``key`` and return it."""
+        entries = self._entries
+        if len(entries) >= self._max_entries:
+            del entries[next(iter(entries))]
+        entries[key] = value
+        return value

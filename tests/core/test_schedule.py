@@ -1,5 +1,8 @@
 """Tests for schedule data types and feasibility (Sec. II-B, IV-A-1)."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.core.schedule import (
@@ -8,6 +11,7 @@ from repro.core.schedule import (
     ScheduleMode,
     UnrolledSchedule,
 )
+from repro.io.serialization import schedule_to_dict
 from repro.utility.detection import HomogeneousDetectionUtility
 
 UTILITY = HomogeneousDetectionUtility(range(6), p=0.4)
@@ -99,6 +103,54 @@ class TestPeriodicPassiveMode:
             for v in s:
                 counts[v] += 1
         assert all(c == 3 for c in counts.values())
+
+
+def scrambled_schedule(mode):
+    # Ids inserted out of order and spread far apart, so the sets'
+    # iteration order depends on how they were built.
+    ids = list(range(150)) + [10**6 + 7 * k for k in range(50)]
+    random.Random(3).shuffle(ids)
+    return PeriodicSchedule(
+        slots_per_period=4,
+        assignment={v: (v * 5) % 4 for v in ids},
+        mode=mode,
+    )
+
+
+@pytest.mark.parametrize("mode", list(ScheduleMode))
+class TestActiveSetCache:
+    """``active_sets()`` is built once per schedule object."""
+
+    def test_same_object_across_calls_and_periods(self, mode):
+        sched = scrambled_schedule(mode)
+        sets = sched.active_sets()
+        assert sched.active_sets() is sets
+        for slot in range(12):
+            assert sched.active_set(slot) is sets[slot % 4]
+            assert sched.active_set(slot) is sched.active_set(slot + 4)
+
+    def test_equals_fresh_build_in_iteration_order(self, mode):
+        sched = scrambled_schedule(mode)
+        sched.active_sets()
+        fresh = scrambled_schedule(mode)._build_active_sets()
+        for cached, built in zip(sched.active_sets(), fresh):
+            assert cached == built
+            assert list(cached) == list(built)
+
+    def test_equality_serialization_and_pickle_unchanged(self, mode):
+        cold = scrambled_schedule(mode)
+        warm = scrambled_schedule(mode)
+        before = schedule_to_dict(warm)
+        warm.active_sets()
+        assert warm == cold
+        assert schedule_to_dict(warm) == before == schedule_to_dict(cold)
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert restored == warm
+        assert restored.active_sets() == warm.active_sets()
+        assert [list(s) for s in restored.active_sets()] == [
+            list(s) for s in warm.active_sets()
+        ]
 
 
 class TestUnrolling:

@@ -10,6 +10,8 @@ restore), so filtered ("stuck") sensors still drain while their
 readings are discarded.
 """
 
+import random
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,10 @@ from repro.coverage.sensing import DiskSensingModel
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.energy.period import ChargingPeriod
 from repro.energy.states import NodeState
+from repro.obs import events as obs_events
 from repro.policies.base import ActivationPolicy
 from repro.policies.schedule_policy import SchedulePolicy
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import SLOT_CACHE_ENTRIES, SimulationEngine
 from repro.sim.network import SensorNetwork
 from repro.utility.target_system import TargetSystem
 
@@ -282,3 +285,190 @@ class TestSensingFilterCallSites:
         resumed.restore(state)
         assert resumed._accumulator._memo is None  # third call site
         assert_bit_identical(resumed.advance(4), full)
+
+
+class OutOfRangeCommands(ActivationPolicy):
+    """A periodic schedule plus ids no node has, both too large and
+    negative; one frozenset object per slot of the period."""
+
+    def __init__(self, schedule, n):
+        self.sets = [
+            s | {n, n + 5, -1, -3} for s in schedule.active_sets()
+        ]
+
+    def decide(self, slot, network):
+        return self.sets[slot % len(self.sets)]
+
+
+class ReshuffledCommands(ActivationPolicy):
+    """Equal-content frozensets, a fresh object built in a different
+    insertion order every slot.  Each id comes with an out-of-range
+    twin 1024 higher that lands in the same hash bucket, so the
+    insertion order shows in the iteration order."""
+
+    def __init__(self, schedule):
+        self.schedule = schedule
+
+    def decide(self, slot, network):
+        ids = sorted(self.schedule.active_set(slot))
+        ids += [v + 1024 for v in ids]
+        random.Random(slot).shuffle(ids)
+        return frozenset(ids)
+
+
+class FreshRandomCommands(ActivationPolicy):
+    """A fresh random command set every slot, as threshold policies
+    build them."""
+
+    def __init__(self, n):
+        self.n = n
+        self.issued = []
+
+    def decide(self, slot, network):
+        rng = random.Random(slot)
+        commands = frozenset(v for v in range(self.n) if rng.random() < 0.5)
+        self.issued.append(commands)
+        return commands
+
+
+def assert_equal_records(a, b):
+    """Every ``SlotRecord`` field equal, ``per_target`` arrays included."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        assert (ra.slot, ra.active_set, ra.utility, ra.refused_activations) == (
+            rb.slot,
+            rb.active_set,
+            rb.utility,
+            rb.refused_activations,
+        )
+        assert np.array_equal(ra.per_target, rb.per_target)
+
+
+def run_with_sink(engine, path, slots, restore_after=None, rebuild=None):
+    """Run ``slots`` slots into a JSONL file; optionally checkpoint after
+    ``restore_after`` slots and continue on ``rebuild()``'s engine."""
+    sink = obs_events.EventSink(path)
+    previous = obs_events.set_sink(sink)
+    try:
+        if restore_after is None:
+            result = engine.run(slots)
+        else:
+            engine.run(restore_after)
+            state = engine.checkpoint()
+            engine = rebuild()
+            engine.restore(state)
+            result = engine.advance(slots - restore_after)
+    finally:
+        obs_events.set_sink(previous)
+        sink.close()
+    return engine, result, path.read_bytes()
+
+
+class TestSlotCaches:
+    """The fast path's per-distinct-set caches change no output byte."""
+
+    N = 30
+    SLOTS = 3 * PERIOD.slots_per_period + 3
+
+    def policy_engine(self, policy, vectorized, sensing_filter=None):
+        network = SensorNetwork(self.N, PERIOD, make_utility(self.N, seed=2))
+        return SimulationEngine(
+            network,
+            policy,
+            vectorized=vectorized,
+            sensing_filter=sensing_filter,
+        )
+
+    def assert_same_run(self, tmp_path, make_policy, **options):
+        fast_engine, fast, fast_bytes = run_with_sink(
+            self.policy_engine(make_policy(), True, **options),
+            tmp_path / "fast.jsonl",
+            self.SLOTS,
+        )
+        slow_engine, slow, slow_bytes = run_with_sink(
+            self.policy_engine(make_policy(), False, **options),
+            tmp_path / "slow.jsonl",
+            self.SLOTS,
+        )
+        assert fast_bytes == slow_bytes
+        assert_equal_records(fast.accumulator.records, slow.accumulator.records)
+        assert_bit_identical(fast, slow)
+        assert_same_node_state(fast_engine.network, slow_engine.network)
+        return fast_engine
+
+    def test_out_of_range_commands(self, tmp_path):
+        schedule = schedule_for(self.N, PERIOD.slots_per_period)
+        engine = self.assert_same_run(
+            tmp_path, lambda: OutOfRangeCommands(schedule, self.N)
+        )
+        assert len(engine._commands) == PERIOD.slots_per_period
+        events = obs_events.read_events(tmp_path / "fast.jsonl")
+        assert events[0]["commanded"][:2] == [-3, -1]
+        assert events[0]["commanded"][-2:] == [self.N, self.N + 5]
+
+    def test_reshuffled_equal_commands(self, tmp_path):
+        schedule = schedule_for(self.N, 3)
+        policy = ReshuffledCommands(schedule)
+        orders = {tuple(policy.decide(slot, None)) for slot in range(0, 30, 3)}
+        assert len(orders) > 1  # equal sets, different iteration orders
+        self.assert_same_run(tmp_path, lambda: ReshuffledCommands(schedule))
+
+    def test_sensing_filter(self, tmp_path):
+        schedule = schedule_for(self.N, PERIOD.slots_per_period)
+        self.assert_same_run(
+            tmp_path,
+            lambda: SchedulePolicy(schedule),
+            sensing_filter=TestSensingFilterCallSites.stuck,
+        )
+
+    def test_restore_mid_period(self, tmp_path):
+        schedule = schedule_for(self.N, PERIOD.slots_per_period)
+        build = lambda vectorized: self.policy_engine(  # noqa: E731
+            SchedulePolicy(schedule), vectorized
+        )
+        _, reference, reference_bytes = run_with_sink(
+            build(False), tmp_path / "slow.jsonl", self.SLOTS
+        )
+        middle = PERIOD.slots_per_period + 2
+        resumed, result, resumed_bytes = run_with_sink(
+            build(True),
+            tmp_path / "resumed.jsonl",
+            self.SLOTS,
+            restore_after=middle,
+            rebuild=lambda: build(True),
+        )
+        assert resumed_bytes == reference_bytes
+        assert_equal_records(
+            result.accumulator.records, reference.accumulator.records
+        )
+        assert_bit_identical(result, reference)
+        # The resumed engine rebuilt its caches from the restored state.
+        assert 0 < len(resumed._active_sets) <= SLOT_CACHE_ENTRIES
+
+    def test_caches_stay_bounded_under_fresh_sets(self, tmp_path):
+        slots = SLOT_CACHE_ENTRIES + 40
+        policy = FreshRandomCommands(self.N)
+        engine, fast, fast_bytes = run_with_sink(
+            self.policy_engine(policy, True),
+            tmp_path / "fast.jsonl",
+            slots,
+        )
+        _, slow, slow_bytes = run_with_sink(
+            self.policy_engine(FreshRandomCommands(self.N), False),
+            tmp_path / "slow.jsonl",
+            slots,
+        )
+        assert fast_bytes == slow_bytes
+        assert_bit_identical(fast, slow)
+        for cache in (engine._commands, engine._active_sets):
+            assert len(cache) == SLOT_CACHE_ENTRIES  # filled, then evicting
+        # Oldest first: exactly the last SLOT_CACHE_ENTRIES command sets
+        # are kept, the one before them evicted.
+        issued = policy.issued
+        assert len(issued) == slots and len(set(issued)) == slots
+        first_kept = slots - SLOT_CACHE_ENTRIES
+        assert engine._commands.lookup(id(issued[first_kept - 1])) is None
+        assert all(
+            engine._commands.lookup(id(commands))[0] is commands
+            for commands in issued[first_kept:]
+        )

@@ -234,3 +234,15 @@ class TestSlotValueMemo:
         for i in range(5):
             memo.store(frozenset({i}), (float(i), None))
         assert len(memo) == 2
+
+    def test_evicts_oldest_first(self):
+        memo = SlotValueMemo(max_entries=2)
+        a, b, c = frozenset({1}), frozenset({2}), frozenset({3})
+        memo.store(a, (1.0, None))
+        memo.store(b, (2.0, None))
+        assert memo.lookup(a) == (1.0, None)  # a hit does not refresh a
+        assert memo.store(c, (3.0, None)) == (3.0, None)
+        assert len(memo) == 2
+        assert memo.lookup(a) is None
+        assert memo.lookup(b) == (2.0, None)
+        assert memo.lookup(c) == (3.0, None)
