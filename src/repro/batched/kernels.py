@@ -17,7 +17,11 @@ Bit-exactness discipline (the same three rules as
 
 1. Active sets are mutated by the exact serial op sequence
    (``S | {v}`` starting from ``frozenset()``), so any recomputation
-   that iterates them sees the serial iteration order.
+   that iterates them sees the serial iteration order.  Unlike the
+   serial evaluator, which defers that chain until the set is read,
+   :meth:`BatchKernel.apply` keeps it eager: batches hold small
+   instances, where the copies cost little, and one plain frozenset
+   per ``(instance, slot)`` keeps the kernels simple.
 2. Cached scalars (detection miss products, logsum totals, per-target
    miss vectors) are recomputed *by the utility's own methods* over
    those set objects -- never updated arithmetically.

@@ -20,11 +20,29 @@ depends on the set's internal hash-table layout -- which itself depends
 on how the set was *constructed*, not only on its contents.  Three
 rules make exactness hold:
 
-1. **Identical set construction.**  The evaluator mutates its active
-   set with exactly the operations the legacy consumers used
+1. **Identical set construction, built only when read.**  The
+   evaluator's active set is the chain the legacy consumers built
    (``S | {v}`` to add, ``S - {v}`` to remove, starting from the same
-   initial object).  Same operation sequence on the same objects =>
-   identical layout => identical iteration order.
+   initial object), but the chain is *deferred*: ``add``/``remove``
+   append to an ordered op log and update a net-delta dict that
+   answers membership in O(1); the frozenset is built only when
+   something reads it (``active``, ``snapshot``, ``value``, a
+   ``_rebuild``, or a from-scratch query of the base evaluator).  The
+   build replays the log literally -- ``S | {v}`` and ``S - {v}`` one
+   op at a time, no-op adds of members and removes of non-members
+   included, since those still copy the set and can change its
+   layout.  Same operation sequence on the same starting object =>
+   identical layout => identical iteration order, so every set a
+   consumer sees iterates exactly as the eager chain's would.
+   Coverage, area and homogeneous detection answer ``gain`` from
+   counters plus a membership probe, so a greedy over them (lazy,
+   naive, passive, stochastic, local search, repair) never builds the
+   set on add or remove: the O(n^2 / T) copying of a skewed slot is
+   gone.  Detection, log-sum, target-system and the base evaluator
+   read the set after every mutation (the first three in
+   ``_rebuild``, the base on its next query), so their log never
+   holds more than the ops the eager chain would have applied before
+   that read; the first three then query ``_built`` directly.
 2. **Cached scalars are recomputed by the family's own code.**  A
    cached quantity (the detection miss product, the log-sum total) is
    never updated arithmetically (``miss *= 1-p`` would change the
@@ -113,7 +131,12 @@ class IncrementalEvaluator:
 
     def __init__(self, fn: UtilityFunction):
         self._fn = fn
-        self._active: SensorSet = _EMPTY
+        # The deferred active-set chain (rule 1 of the module
+        # docstring): the last frozenset built, the ops applied since,
+        # in order, and their net effect per sensor.
+        self._built: SensorSet = _EMPTY
+        self._pending: List[Tuple[int, bool]] = []
+        self._delta: Dict[int, bool] = {}
         self._cached_value: Optional[float] = None
         self._ops: Dict[str, int] = {}
         self._rebuild()
@@ -126,8 +149,19 @@ class IncrementalEvaluator:
 
     @property
     def active(self) -> SensorSet:
-        """The current active set (the exact object queries run against)."""
-        return self._active
+        """The current active set (the exact object queries run against).
+
+        Replays the pending ``add``/``remove`` log first, op by op, as
+        the eager chain would have applied it.
+        """
+        if self._pending:
+            active = self._built
+            for sensor, added in self._pending:
+                active = active | {sensor} if added else active - {sensor}
+            self._built = active
+            self._pending = []
+            self._delta = {}
+        return self._built
 
     def reset(self, active: SensorSet = _EMPTY) -> None:
         """Rebase onto ``active`` *without copying it*.
@@ -137,25 +171,27 @@ class IncrementalEvaluator:
         ``everyone`` set the passive greedy starts every slot from).
         """
         self._count("reset")
-        self._active = active
+        self._rebase(active)
         self._cached_value = None
         self._rebuild()
 
     def add(self, sensor: int) -> None:
-        """Activate ``sensor`` (mirrors the legacy ``S | {v}`` update)."""
+        """Activate ``sensor`` (the legacy ``S | {v}``, deferred)."""
         self._count("add")
-        before = self._active
-        self._active = before | {sensor}
+        was_member = self._has(sensor)
+        self._pending.append((sensor, True))
+        self._delta[sensor] = True
         self._cached_value = None
-        self._on_add(sensor, before)
+        self._on_add(sensor, was_member)
 
     def remove(self, sensor: int) -> None:
-        """Deactivate ``sensor`` (mirrors the legacy ``S - {v}`` update)."""
+        """Deactivate ``sensor`` (the legacy ``S - {v}``, deferred)."""
         self._count("remove")
-        before = self._active
-        self._active = before - {sensor}
+        was_member = self._has(sensor)
+        self._pending.append((sensor, False))
+        self._delta[sensor] = False
         self._cached_value = None
-        self._on_remove(sensor, before)
+        self._on_remove(sensor, was_member)
 
     def gain(self, sensor: int) -> float:
         """``U(S | {v}) - U(S)`` -- bit-equal to ``fn.marginal(v, S)``."""
@@ -188,15 +224,29 @@ class IncrementalEvaluator:
     def snapshot(self) -> Tuple[Any, ...]:
         """An O(cached-state) token that :meth:`restore` accepts."""
         self._count("snapshot")
-        return (self._active, self._cached_value, self._state())
+        return (self.active, self._cached_value, self._state())
 
     def restore(self, token: Tuple[Any, ...]) -> None:
         """Rewind to a prior :meth:`snapshot` -- including the exact
         active-set object, so post-restore queries are bit-identical to
         the queries issued when the snapshot was taken."""
         self._count("restore")
-        self._active, self._cached_value, state = token
+        active, self._cached_value, state = token
+        self._rebase(active)
         self._load_state(state)
+
+    # -- the deferred chain --------------------------------------------
+
+    def _has(self, sensor: int) -> bool:
+        """``sensor in self.active``, without building the set."""
+        return self._delta.get(sensor, sensor in self._built)
+
+    def _rebase(self, active: SensorSet) -> None:
+        """Make ``active`` (the object itself) the set; drop the log."""
+        self._built = active
+        if self._pending:
+            self._pending = []
+            self._delta = {}
 
     # -- op accounting -------------------------------------------------
 
@@ -212,22 +262,22 @@ class IncrementalEvaluator:
     # -- hooks (override in specializations) ---------------------------
 
     def _rebuild(self) -> None:
-        """Recompute every cached scalar from ``self._active``."""
+        """Recompute every cached scalar from ``self.active``."""
 
-    def _on_add(self, sensor: int, before: SensorSet) -> None:
+    def _on_add(self, sensor: int, was_member: bool) -> None:
         self._rebuild()
 
-    def _on_remove(self, sensor: int, before: SensorSet) -> None:
+    def _on_remove(self, sensor: int, was_member: bool) -> None:
         self._rebuild()
 
     def _gain(self, sensor: int) -> float:
-        return self._fn.marginal(sensor, self._active)
+        return self._fn.marginal(sensor, self.active)
 
     def _loss(self, sensor: int) -> float:
-        return self._fn.decrement(sensor, self._active)
+        return self._fn.decrement(sensor, self.active)
 
     def _compute_value(self) -> float:
-        return self._fn.value(self._active)
+        return self._fn.value(self.active)
 
     def _current_value(self) -> float:
         if self._cached_value is None:
@@ -257,10 +307,10 @@ class DetectionEvaluator(IncrementalEvaluator):
         super().__init__(fn)
 
     def _rebuild(self) -> None:
-        self._miss = self._fn.miss_probability(self._active)
+        self._miss = self._fn.miss_probability(self.active)
 
     def _gain(self, sensor: int) -> float:
-        if sensor in self._active:
+        if sensor in self._built:
             return 0.0
         p = self._probs.get(sensor)
         if p is None:
@@ -268,9 +318,9 @@ class DetectionEvaluator(IncrementalEvaluator):
         return p * self._miss
 
     def _loss(self, sensor: int) -> float:
-        if sensor not in self._active:
+        if sensor not in self._built:
             return 0.0
-        return (1.0 - self._miss) - self._fn.value(self._active - {sensor})
+        return (1.0 - self._miss) - self._fn.value(self._built - {sensor})
 
     def _compute_value(self) -> float:
         return 1.0 - self._miss
@@ -296,24 +346,26 @@ class HomogeneousDetectionEvaluator(IncrementalEvaluator):
         super().__init__(fn)
 
     def _rebuild(self) -> None:
-        self._k = self._fn.count(self._active)
+        self._k = self._fn.count(self.active)
 
-    def _on_add(self, sensor: int, before: SensorSet) -> None:
-        if sensor in self._ground and sensor not in before:
+    def _on_add(self, sensor: int, was_member: bool) -> None:
+        if not was_member and sensor in self._ground:
             self._k += 1
 
-    def _on_remove(self, sensor: int, before: SensorSet) -> None:
-        if sensor in self._ground and sensor in before:
+    def _on_remove(self, sensor: int, was_member: bool) -> None:
+        if was_member and sensor in self._ground:
             self._k -= 1
 
     def _gain(self, sensor: int) -> float:
-        if sensor in self._active or sensor not in self._ground:
+        # ``_has`` inlined: the greedy probes every candidate.
+        member = self._delta.get(sensor, sensor in self._built)
+        if member or sensor not in self._ground:
             return 0.0
         fn = self._fn
         return fn.value_of_count(self._k + 1) - fn.value_of_count(self._k)
 
     def _loss(self, sensor: int) -> float:
-        if sensor not in self._active:
+        if not self._has(sensor):
             return 0.0
         drop = 1 if sensor in self._ground else 0
         fn = self._fn
@@ -344,10 +396,10 @@ class LogSumEvaluator(IncrementalEvaluator):
         super().__init__(fn)
 
     def _rebuild(self) -> None:
-        self._total = self._fn.total_weight(self._active)
+        self._total = self._fn.total_weight(self.active)
 
     def _gain(self, sensor: int) -> float:
-        if sensor in self._active:
+        if sensor in self._built:
             return 0.0
         w = self._weights.get(sensor)
         if not w:
@@ -355,9 +407,9 @@ class LogSumEvaluator(IncrementalEvaluator):
         return math.log1p(self._total + w) - math.log1p(self._total)
 
     def _loss(self, sensor: int) -> float:
-        if sensor not in self._active:
+        if sensor not in self._built:
             return 0.0
-        return math.log1p(self._total) - self._fn.value(self._active - {sensor})
+        return math.log1p(self._total) - self._fn.value(self._built - {sensor})
 
     def _compute_value(self) -> float:
         return math.log1p(self._total)
@@ -388,13 +440,13 @@ class CoverageEvaluator(IncrementalEvaluator):
 
     def _rebuild(self) -> None:
         counts: Dict[int, int] = {}
-        for v in self._active:
+        for v in self.active:
             for e in self._covers.get(v, ()):
                 counts[e] = counts.get(e, 0) + 1
         self._counts = counts
 
-    def _on_add(self, sensor: int, before: SensorSet) -> None:
-        if sensor in before:
+    def _on_add(self, sensor: int, was_member: bool) -> None:
+        if was_member:
             return
         cover = self._covers.get(sensor)
         if cover is None:
@@ -403,8 +455,8 @@ class CoverageEvaluator(IncrementalEvaluator):
         for e in cover:
             counts[e] = counts.get(e, 0) + 1
 
-    def _on_remove(self, sensor: int, before: SensorSet) -> None:
-        if sensor not in before:
+    def _on_remove(self, sensor: int, was_member: bool) -> None:
+        if not was_member:
             return
         cover = self._covers.get(sensor)
         if cover is None:
@@ -414,7 +466,9 @@ class CoverageEvaluator(IncrementalEvaluator):
             counts[e] -= 1
 
     def _gain(self, sensor: int) -> float:
-        if sensor in self._active or sensor not in self._covers:
+        # ``_has`` inlined: the greedy probes every candidate.
+        member = self._delta.get(sensor, sensor in self._built)
+        if member or sensor not in self._covers:
             return 0.0
         counts = self._counts
         weights = self._weights
@@ -428,7 +482,7 @@ class CoverageEvaluator(IncrementalEvaluator):
         # same order, same summation shape as
         # ``WeightedCoverageUtility.decrement`` -- bit-equal, but O(d)
         # instead of the O(|S| * d) covered-elements rescan.
-        if sensor not in self._active or sensor not in self._covers:
+        if not self._has(sensor) or sensor not in self._covers:
             return 0.0
         counts = self._counts
         weights = self._weights
@@ -455,27 +509,29 @@ class AreaEvaluator(IncrementalEvaluator):
 
     def _rebuild(self) -> None:
         counts = [0] * len(self._subregions)
-        for v in self._active:
+        for v in self.active:
             for cid in self._cells_of.get(v, ()):
                 counts[cid] += 1
         self._counts = counts
 
-    def _on_add(self, sensor: int, before: SensorSet) -> None:
-        if sensor in before:
+    def _on_add(self, sensor: int, was_member: bool) -> None:
+        if was_member:
             return
         counts = self._counts
         for cid in self._cells_of.get(sensor, ()):
             counts[cid] += 1
 
-    def _on_remove(self, sensor: int, before: SensorSet) -> None:
-        if sensor not in before:
+    def _on_remove(self, sensor: int, was_member: bool) -> None:
+        if not was_member:
             return
         counts = self._counts
         for cid in self._cells_of.get(sensor, ()):
             counts[cid] -= 1
 
     def _gain(self, sensor: int) -> float:
-        if sensor in self._active or sensor not in self._cells_of:
+        # ``_has`` inlined: the greedy probes every candidate.
+        member = self._delta.get(sensor, sensor in self._built)
+        if member or sensor not in self._cells_of:
             return 0.0
         counts = self._counts
         subregions = self._subregions
@@ -548,7 +604,7 @@ class TargetSystemEvaluator(IncrementalEvaluator):
         )
 
     def _rebuild(self) -> None:
-        active = self._active
+        active = self.active
         coverage = self._coverage
         children = self._children
         for tid in range(self._num_targets):
@@ -559,7 +615,7 @@ class TargetSystemEvaluator(IncrementalEvaluator):
                 miss_vec[tid] = children[tid]._miss  # type: ignore[attr-defined]
 
     def _gain(self, sensor: int) -> float:
-        if sensor in self._active:
+        if sensor in self._built:
             return 0.0
         gain = 0.0
         children = self._children
@@ -568,9 +624,9 @@ class TargetSystemEvaluator(IncrementalEvaluator):
         return gain
 
     def _loss(self, sensor: int) -> float:
-        if sensor not in self._active:
+        if sensor not in self._built:
             return 0.0
-        return self._current_value() - self._fn.value(self._active - {sensor})
+        return self._current_value() - self._fn.value(self._built - {sensor})
 
     def _compute_value(self) -> float:
         children = self._children
@@ -591,7 +647,7 @@ class TargetSystemEvaluator(IncrementalEvaluator):
             return super().gains(candidates)
         self._ops["gain"] = self._ops.get("gain", 0) + len(candidates)
         out = np.empty(len(candidates), dtype=np.float64)
-        active = self._active
+        active = self._built
         miss_vec = self._miss_vec
         fast = self._fast
         for i, sensor in enumerate(candidates):

@@ -17,14 +17,24 @@ accumulation contract in that module's docstring), both per-query
 
 from __future__ import annotations
 
+import hashlib
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.batched.greedy import solve_batch
 from repro.core.baselines import high_energy_first_schedule
+from repro.core.greedy import GreedyTrace, greedy_schedule
+from repro.core.greedy_passive import greedy_passive_schedule
+from repro.core.problem import SchedulingProblem
 from repro.core.solver import solve
+from repro.energy.period import ChargingPeriod
 from repro.io.serialization import schedule_to_dict
+from repro.obs.registry import get_registry
 from repro.runtime.fingerprint import canonical_json
+from repro.sim.cityscale import city_scenario
 from repro.utility.area import AreaCoverageUtility, Subregion
 from repro.utility.incremental import make_evaluator
 
@@ -194,6 +204,86 @@ def test_solves_identical_with_incremental_on_and_off(family, monkeypatch):
     assert footprints["0"] == footprints["1"], (
         f"family={family}: incremental toggle changed a solve"
     )
+
+
+# ---------------------------------------------------------------------------
+# Pinned plans at fleet shape
+# ---------------------------------------------------------------------------
+
+#: A 2,000-sensor city with fleet-day's skew: the lazy greedy places
+#: 1,714 sensors in slot 0, the passive greedy 1,897 passive slots in
+#: slot 0, so the evaluators run long add/remove chains on one slot.
+#: Every value below was captured on the eager-chain evaluators, before
+#: the active set was deferred; the plan, its trace and its work must
+#: not move under either ``REPRO_INCREMENTAL`` setting.
+FLEET_PINS = {
+    "active": {
+        "variant": "lazy",
+        "digest": "2398c7d927363ff635b37889ba7d1da1347cd358ffe018238e8694c9d89cf7e9",
+        "total": 914.0865704891014,
+        "slot_sizes": {0: 1714, 1: 88, 2: 96, 3: 102},
+        "evals": 15377,
+        "ops": {"add": 2000, "gain": 15377},
+    },
+    "passive": {
+        "variant": "passive-lazy",
+        "digest": "d06ae93580769c499810b734133b3faaac14bb54d188617f9e194921df390953",
+        "total": 914.0865704891,
+        "slot_sizes": {0: 1897, 1: 103},
+        "evals": 10101,
+        "ops": {"remove": 2000, "loss": 10101, "value": 4, "reset": 4},
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def fleet_city():
+    return city_scenario(2_000, districts=8, seed=1)
+
+
+def _fleet_problem(city, regime):
+    if regime == "active":
+        return city.problem()
+    return SchedulingProblem(
+        num_sensors=city.num_sensors,
+        period=ChargingPeriod.from_ratio(1.0 / 3.0, discharge_time=45.0),
+        utility=city.utility,
+    )
+
+
+def _plan_digest(assignment, trace):
+    """sha256 over the assignment and every step's exact gain/total."""
+    digest = hashlib.sha256(json.dumps(sorted(assignment.items())).encode())
+    for step in trace.steps:
+        digest.update(
+            f"{step.sensor},{step.slot},{step.gain!r},{step.total_after!r};"
+            .encode()
+        )
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("flag", ("1", "0"))
+@pytest.mark.parametrize("regime", ("active", "passive"))
+def test_fleet_shape_plan_is_pinned(fleet_city, regime, flag, monkeypatch):
+    monkeypatch.setenv("REPRO_INCREMENTAL", flag)
+    pin = FLEET_PINS[regime]
+    run = greedy_schedule if regime == "active" else greedy_passive_schedule
+    registry = get_registry()
+    registry.reset()
+    trace = GreedyTrace()
+    schedule = run(_fleet_problem(fleet_city, regime), trace=trace)
+
+    assert _plan_digest(schedule.assignment, trace) == pin["digest"]
+    assert trace.total_utility == pin["total"]
+    assert Counter(schedule.assignment.values()) == pin["slot_sizes"]
+    assert registry.sample_value(
+        "repro_greedy_marginal_evals_total", variant=pin["variant"]
+    ) == pin["evals"]
+    family = "coverage" if flag == "1" else "recompute"
+    for op, count in pin["ops"].items():
+        assert registry.sample_value(
+            "repro_utility_incremental_ops_total", family=family, op=op
+        ) == count, op
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.obs.registry import MetricsRegistry
 from repro.utility.area import AreaCoverageUtility, Subregion
@@ -246,3 +256,190 @@ class TestSlotValueMemo:
         assert memo.lookup(a) is None
         assert memo.lookup(b) == (2.0, None)
         assert memo.lookup(c) == (3.0, None)
+
+
+# ---------------------------------------------------------------------------
+# Model-based test of the deferred active-set chain
+# ---------------------------------------------------------------------------
+
+#: Sensor ids 8 apart collide in a frozenset's hash table, so a set's
+#: iteration order depends on how it was built, not only on its members.
+IDS = tuple(8 * i for i in range(10))
+#: Ids no utility knows: one between ground ids, one past them.
+STRANGERS = (3, 8 * len(IDS))
+PROBES = IDS + STRANGERS
+
+#: Families whose evaluators answer ``gain`` from counters plus a
+#: membership probe, so an add/remove must not build the frozenset.
+COUNTER_FAMILIES = ("homogeneous-detection", "weighted-coverage", "area")
+
+MACHINE_FAMILIES = (
+    "homogeneous-detection",
+    "detection",
+    "logsum",
+    "weighted-coverage",
+    "area",
+    "target-system",
+)
+
+
+def _sparse_utility(family, rng):
+    """A random utility of ``family`` over the colliding ids ``IDS``."""
+    if family == "homogeneous-detection":
+        return HomogeneousDetectionUtility(IDS, p=float(rng.uniform(0.2, 0.7)))
+    if family == "detection":
+        return DetectionUtility({v: float(rng.uniform(0.2, 0.7)) for v in IDS})
+    if family == "logsum":
+        return LogSumUtility({v: float(rng.integers(1, 20)) for v in IDS})
+    if family == "weighted-coverage":
+        return WeightedCoverageUtility(
+            {v: {e for e in range(12) if rng.random() < 0.4} for v in IDS},
+            {e: float(rng.uniform(0.5, 2.0)) for e in range(12)},
+        )
+    if family == "area":
+        return AreaCoverageUtility([
+            Subregion(
+                covered_by=frozenset(
+                    int(v) for v in rng.choice(IDS, size=int(rng.integers(1, 4)),
+                                               replace=False)
+                ),
+                area=float(rng.uniform(0.5, 2.0)),
+                weight=float(rng.uniform(0.5, 1.5)),
+            )
+            for _ in range(3 * len(IDS))
+        ])
+    if family == "target-system":
+        covers, utilities = [], []
+        for _ in range(3):
+            cover = frozenset(v for v in IDS if rng.random() < 0.5)
+            cover = cover or frozenset(IDS[:1])
+            covers.append(cover)
+            utilities.append(
+                DetectionUtility({v: float(rng.uniform(0.2, 0.6)) for v in cover})
+            )
+        return TargetSystem(covers, utilities)
+    raise ValueError(family)
+
+
+def _same(a, b):
+    """Bit equality of two floats (``==`` would let 0.0 equal -0.0)."""
+    return float(a).hex() == float(b).hex()
+
+
+class DeferredChainMachine(RuleBasedStateMachine):
+    """An evaluator against an eager ``S | {v}`` / ``S - {v}`` model.
+
+    Mutations and gain probes pile up between reads; every read must
+    see a set that iterates exactly like the model and answers every
+    query with the model's bits.
+    """
+
+    def __init__(self, family, incremental):
+        super().__init__()
+        self.family = family
+        self.fn = _sparse_utility(family, np.random.default_rng(len(family)))
+        self.ev = make_evaluator(self.fn, incremental=incremental)
+        self.deferred = incremental and family in COUNTER_FAMILIES
+        self.model = frozenset()
+        self.built = self.ev._built
+        self.prebuilt = []
+        self.tokens = []
+
+    @initialize(orders=st.lists(
+        st.lists(st.sampled_from(PROBES), max_size=8), min_size=1, max_size=3
+    ))
+    def prebuild(self, orders):
+        # Each set's layout follows its insertion order.
+        self.prebuilt = [frozenset(order) for order in orders]
+
+    def _members(self, data):
+        return data.draw(st.sampled_from(sorted(self.model)))
+
+    @rule(sensor=st.sampled_from(PROBES))
+    def add(self, sensor):
+        self.ev.add(sensor)
+        self.model = self.model | {sensor}
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def add_member(self, data):
+        self.add(self._members(data))
+
+    @rule(sensor=st.sampled_from(PROBES))
+    def remove(self, sensor):
+        self.ev.remove(sensor)
+        self.model = self.model - {sensor}
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def remove_member(self, data):
+        self.remove(self._members(data))
+
+    @rule(sensor=st.sampled_from(PROBES))
+    def probe_gain(self, sensor):
+        assert _same(self.ev.gain(sensor), self.fn.marginal(sensor, self.model))
+
+    @rule(data=st.data())
+    def reset(self, data):
+        target = data.draw(st.sampled_from(self.prebuilt))
+        self.ev.reset(target)
+        self.model = target
+        assert self.ev.active is target
+        self.built = self.ev._built
+
+    @rule()
+    def snapshot(self):
+        self.tokens.append((self.ev.snapshot(), self.model))
+        self.built = self.ev._built
+
+    @precondition(lambda self: self.tokens)
+    @rule(data=st.data())
+    def restore(self, data):
+        token, model = data.draw(st.sampled_from(self.tokens))
+        self.ev.restore(token)
+        self.model = model
+        assert self.ev.active is token[0]
+        self.built = self.ev._built
+
+    @rule(first=st.sampled_from(("active", "value", "loss", "gains")))
+    def read(self, first):
+        ev, fn, model = self.ev, self.fn, self.model
+        if first == "value":
+            assert _same(ev.value(), fn.value(model))
+        elif first == "loss":
+            for v in PROBES:
+                assert _same(ev.loss(v), fn.decrement(v, model))
+        elif first == "gains":
+            gains = ev.gains(list(PROBES))
+            for i, v in enumerate(PROBES):
+                assert _same(gains[i], fn.marginal(v, model))
+        active = ev.active
+        assert list(active) == list(model)
+        assert _same(ev.value(), fn.value(model))
+        gains = ev.gains(list(PROBES))
+        for i, v in enumerate(PROBES):
+            marginal = fn.marginal(v, model)
+            assert _same(gains[i], marginal)
+            assert _same(ev.gain(v), marginal)
+            assert _same(ev.loss(v), fn.decrement(v, model))
+        self.built = ev._built
+
+    @invariant()
+    def mutations_build_no_set(self):
+        # Only the reads above may build the set on the counter
+        # families; add, remove and gain work from the op log.
+        if self.deferred:
+            assert self.ev._built is self.built
+
+
+@pytest.mark.parametrize("incremental", (True, False),
+                         ids=("specialized", "base"))
+@pytest.mark.parametrize("family", MACHINE_FAMILIES)
+def test_deferred_chain_matches_eager_model(family, incremental):
+    run_state_machine_as_test(
+        lambda: DeferredChainMachine(family, incremental),
+        settings=settings(
+            max_examples=30, stateful_step_count=40, deadline=None
+        ),
+    )
+
