@@ -14,10 +14,6 @@ Subcommands:
 - ``metrics``   dump the in-process metrics registry (Prometheus/JSON);
 - ``figure``    reproduce a paper figure as JSON or SVG;
 - ``serve``     run the HTTP solve/simulate service (docs/SERVING.md);
-                with ``--workers N``, a sharded multi-process cluster
-                (docs/SCALING.md);
-- ``loadgen``   drive open-loop load at a target rps and report
-                p50/p95/p99 latency against an SLO (docs/SCALING.md);
 - ``session``   replay a captured session delta log offline
                 (docs/SESSIONS.md).
 
@@ -332,9 +328,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if aggregated is not None:
             # Summed across every process that ever touched this store
             # (each flushes lifetime totals to its own stats sidecar),
-            # so a cluster's shared tier is observable from one shell.
+            # so a pool's shared tier is observable from one shell.
             print(
-                f"cluster   : {aggregated['writers']} writers / "
+                f"processes : {aggregated['writers']} writers / "
                 f"{aggregated['hits']} hits / {aggregated['misses']} misses "
                 f"/ {aggregated['stores']} stores "
                 f"/ {aggregated['disk_hits']} disk hits "
@@ -399,8 +395,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.port < 0 or args.port > 65535:
         print(f"error: invalid port {args.port}", file=sys.stderr)
         return 2
-    if args.workers is not None and args.workers > 1:
-        return _serve_cluster(args)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -445,138 +439,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """``repro serve --workers N``: router + supervised shard workers."""
-    import signal
-
-    from repro.cluster.service import ClusterConfig, ClusterService
-
-    config = ClusterConfig(
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        checkpoint_dir=args.session_checkpoint_dir,
-        request_timeout=args.request_timeout,
-        service={
-            "jobs": args.jobs,
-            "use_cache": not args.no_cache,
-            "batch_window": args.batch_window,
-            "max_queue": args.max_queue,
-            "max_batch": args.max_batch,
-            "retry_attempts": args.retry_attempts,
-            "breaker_threshold": args.breaker_threshold,
-            "breaker_recovery": args.breaker_recovery,
-            "degrade": not args.no_degrade,
-            "degraded_max_sensors": args.degraded_max_sensors,
-            "sessions": not args.no_sessions,
-            "max_sessions": args.max_sessions,
-            "session_ttl": args.session_ttl,
-        },
-    )
-    cluster = ClusterService(config)
-    cluster.start()
-    print(
-        f"serving on {cluster.url} ({args.workers} workers, "
-        "sharded by solve fingerprint)",
-        flush=True,
-    )
-    print(
-        "endpoints: POST /v1/solve, POST /v1/simulate, GET /metrics, "
-        "GET /healthz (aggregate)"
-        + (
-            ", POST /v1/session (+ /delta, /schedule, DELETE)"
-            if not args.no_sessions
-            else ""
-        ),
-        flush=True,
-    )
-
-    def _terminate(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _terminate)
-    try:
-        import time as time_module
-
-        while True:
-            time_module.sleep(0.5)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-        cluster.stop()
-        print("cluster stopped", flush=True)
-    return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    from repro.cluster.loadgen import LoadgenConfig, run_loadgen
-
-    config = LoadgenConfig(
-        url=args.url,
-        rps=args.rps,
-        duration=args.duration,
-        clients=args.clients,
-        mode=args.mode,
-        endpoint=args.endpoint,
-        seed=args.seed,
-        timeout=args.timeout,
-        slo_p95=args.slo_p95,
-        slo_error_rate=args.slo_error_rate,
-    )
-    report = run_loadgen(config)
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    slo = report.get("slo")
-    if slo is not None and not slo["met"]:
-        print(
-            f"error: SLO not met (p95 {report['latency']['p95']}s vs "
-            f"{slo['p95_target']}s target, error rate "
-            f"{report['error_rate']} vs {slo['error_rate_target']})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def cmd_chaos(args: argparse.Namespace) -> int:
     import tempfile
 
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FaultPlan
 
-    if args.cluster_workers is not None:
-        from repro.faults.chaos import run_cluster_chaos
-
-        specs = args.fault or [
-            # The cluster default storm: worker-side solve failures and
-            # torn shared-cache writes, plus wire faults on the
-            # router-to-worker hop -- alongside the SIGKILL the harness
-            # always delivers mid-run.
-            "solve:error:p=0.2",
-            "cache.write:torn-write:p=0.3",
-            "router.forward:error:p=0.1",
-        ]
-        plan = FaultPlan.from_cli_specs(specs, seed=args.seed)
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as scratch:
-            report = run_cluster_chaos(
-                plan,
-                workers=args.cluster_workers,
-                requests=args.requests,
-                seed=args.seed,
-                request_timeout=args.request_timeout,
-                cache_dir=args.cache_dir or scratch + "/cache",
-                runtime_dir=scratch + "/run",
-            )
-        json.dump(report, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-        if not report["passed"]:
-            print(
-                f"error: {len(report['violations'])} contract violations",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
     specs = args.fault or [
         # A default storm that exercises every resilience layer:
         # transient solve failures (retry), torn cache writes
@@ -812,14 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="bind port (0 = ephemeral)"
     )
     p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run N sharded worker processes behind a fingerprint-"
-        "routing router (see docs/SCALING.md); default: one process",
-    )
-    p_serve.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -936,7 +796,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="SITE:ACTION[:k=v,...]",
         help="fault spec, repeatable (sites: pool.task, solve, "
-        "cache.read, cache.write, batcher.batch, router.forward; "
+        "cache.read, cache.write, batcher.batch; "
         "actions: error, crash, sleep, torn-write; keys: p, after, "
         "times, delay); default: a mixed storm across solve, cache "
         "and batcher",
@@ -967,77 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="cache directory (default: a fresh temporary directory)",
     )
-    p_chaos.add_argument(
-        "--cluster-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the storm against an N-worker cluster instead of a "
-        "single service, SIGKILLing one worker mid-run (adds the "
-        "router.forward site; see docs/SCALING.md)",
-    )
     p_chaos.set_defaults(func=cmd_chaos)
-
-    p_loadgen = sub.add_parser(
-        "loadgen",
-        help="open-loop load generation against a running serve/cluster "
-        "endpoint (see docs/SCALING.md)",
-    )
-    p_loadgen.add_argument(
-        "--url",
-        default="http://127.0.0.1:8080",
-        help="base URL of the service or cluster router",
-    )
-    p_loadgen.add_argument(
-        "--rps", type=float, default=50.0, help="open-loop arrival rate"
-    )
-    p_loadgen.add_argument(
-        "--duration",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="length of the send schedule (requests = rps * duration)",
-    )
-    p_loadgen.add_argument(
-        "--clients", type=int, default=8, help="sender threads"
-    )
-    p_loadgen.add_argument(
-        "--mode",
-        choices=["duplicate", "distinct", "mixed"],
-        default="duplicate",
-        help="traffic shape: one hot instance, all-unique instances, "
-        "or a seeded 80/20 blend",
-    )
-    p_loadgen.add_argument(
-        "--endpoint",
-        default="/v1/solve",
-        help="path every request posts to (default: /v1/solve)",
-    )
-    p_loadgen.add_argument(
-        "--seed", type=int, default=0, help="mixed-mode draw seed"
-    )
-    p_loadgen.add_argument(
-        "--timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-request client timeout",
-    )
-    p_loadgen.add_argument(
-        "--slo-p95",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="fail (exit 1) if p95 latency exceeds this bound",
-    )
-    p_loadgen.add_argument(
-        "--slo-error-rate",
-        type=float,
-        default=0.01,
-        metavar="FRACTION",
-        help="non-200 fraction tolerated under the SLO (default: 0.01)",
-    )
-    p_loadgen.set_defaults(func=cmd_loadgen)
 
     p_session = sub.add_parser(
         "session",

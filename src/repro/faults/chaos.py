@@ -167,136 +167,6 @@ def run_chaos(
     return report
 
 
-def run_cluster_chaos(
-    plan: FaultPlan,
-    workers: int = 2,
-    requests: int = 40,
-    seed: int = 0,
-    request_timeout: float = 15.0,
-    cache_dir: Optional[str] = None,
-    runtime_dir: Optional[str] = None,
-    kill_worker: bool = True,
-) -> Dict[str, Any]:
-    """The cluster variant: the same per-response contract, plus a real
-    worker crash.
-
-    Boots a :class:`~repro.cluster.service.ClusterService`, drives the
-    seeded mix through the *router*, and -- about a third of the way in
-    -- SIGKILLs one worker to prove the supervisor respawns it and the
-    router absorbs the gap (retried forwards or structured 503s, never
-    a wrong or truncated answer).  The installed plan reaches workers
-    through ``$REPRO_FAULT_PLAN`` (exported by ``injector.install``
-    before the fleet is spawned), so worker-side sites keep firing;
-    ``router.forward`` faults fire in this process.  The report gains a
-    ``cluster`` section: worker count, the killed shard, and per-worker
-    restart counts -- a run only passes if the killed worker came back.
-    """
-    import signal
-
-    from repro.cluster.service import ClusterConfig, ClusterService
-
-    bodies = request_mix(requests, seed)
-    expected: Dict[str, Dict[str, Any]] = {}
-    for body in bodies:
-        key = json.dumps(body, sort_keys=True)
-        if key not in expected:
-            expected[key] = expected_result_wire(body)
-
-    outcomes = {"ok": 0, "degraded": 0}
-    errors: Dict[str, int] = {}
-    violations: List[Dict[str, Any]] = []
-    kill_at = max(1, requests // 3) if kill_worker else None
-    killed_shard: Optional[str] = None
-
-    # Install before spawning: the env carries the plan to the fleet.
-    active = injector.install(plan)
-    cluster = ClusterService(
-        ClusterConfig(
-            workers=workers,
-            port=0,
-            runtime_dir=runtime_dir,
-            cache_dir=cache_dir,
-            request_timeout=request_timeout,
-            service={"batch_window": 0.005, "use_cache": cache_dir is not None},
-        )
-    )
-    try:
-        cluster.start()
-        for index, body in enumerate(bodies):
-            if kill_at is not None and index == kill_at:
-                killed_shard = cluster.router.shard_for_body(
-                    "/v1/solve", json.dumps(body).encode("utf-8")
-                )
-                cluster.supervisor.kill(killed_shard, signal.SIGKILL)
-            key = json.dumps(body, sort_keys=True)
-            status, parsed = _post(
-                cluster.url + "/v1/solve", body, timeout=request_timeout * 2
-            )
-            verdict = _classify(status, parsed, expected[key])
-            if verdict is None:
-                if status == 200 and parsed.get("degraded"):
-                    outcomes["degraded"] += 1
-                elif status == 200:
-                    outcomes["ok"] += 1
-                else:
-                    code = parsed["error"]["code"]
-                    errors[code] = errors.get(code, 0) + 1
-            else:
-                violations.append(
-                    {"request": index, "status": status, "reason": verdict}
-                )
-        restarts = {
-            entry["shard"]: entry["restarts"]
-            for entry in cluster.supervisor.describe()
-        }
-        if killed_shard is not None:
-            # The respawn is part of the contract: a kill the
-            # supervisor never repaired is a failed run even if every
-            # individual response was clean.
-            address = cluster.supervisor.address(killed_shard)
-            if restarts.get(killed_shard, 0) < 1 or address is None:
-                violations.append(
-                    {
-                        "request": None,
-                        "status": None,
-                        "reason": f"killed worker {killed_shard} "
-                        "was not respawned",
-                    }
-                )
-        fired = {
-            str(spec_index): count
-            for spec_index, count in active.fired().items()
-        }
-    finally:
-        cluster.stop()
-        injector.uninstall()
-
-    report = {
-        "kind": REPORT_KIND,
-        "version": REPORT_VERSION,
-        "seed": seed,
-        "requests": requests,
-        "plan": plan.as_dict(),
-        "outcomes": {**outcomes, "errors": errors},
-        "faults_fired": fired,
-        "cluster": {
-            "workers": workers,
-            "killed": killed_shard,
-            "restarts": restarts,
-        },
-        "violations": violations,
-        "passed": not violations,
-    }
-    obs_events.emit(
-        "chaos.cluster_run",
-        requests=requests,
-        workers=workers,
-        violations=len(violations),
-        passed=not violations,
-    )
-    return report
-
-
 def _post(
     url: str, body: Dict[str, Any], timeout: float = 30.0
 ) -> Tuple[int, Dict[str, Any]]:

@@ -33,7 +33,6 @@ SITES: Dict[str, str] = {
     "cache.read": "directory-store read in runtime/backend.py",
     "cache.write": "directory-store write in runtime/backend.py",
     "batcher.batch": "batch execution in serve/batcher.py",
-    "router.forward": "router-to-worker hop in cluster/router.py",
 }
 
 #: What can go wrong at a site.

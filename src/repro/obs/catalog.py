@@ -360,37 +360,6 @@ STANDARD_METRICS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
         (),
         "Backend hits on entries written by another process",
     ),
-    # -- cluster (cluster/supervisor.py, cluster/router.py) ------------
-    (
-        "gauge",
-        "repro_cluster_workers",
-        ("state",),
-        "Cluster workers by lifecycle state",
-    ),
-    (
-        "counter",
-        "repro_cluster_restarts_total",
-        ("worker",),
-        "Worker respawns by shard",
-    ),
-    (
-        "counter",
-        "repro_router_requests_total",
-        ("endpoint", "status"),
-        "Router requests by endpoint and status code",
-    ),
-    (
-        "histogram",
-        "repro_router_forward_seconds",
-        ("worker",),
-        "Router-to-worker forward wall time",
-    ),
-    (
-        "counter",
-        "repro_router_forward_errors_total",
-        ("worker", "kind"),
-        "Failed forwards by worker and failure kind",
-    ),
 )
 
 

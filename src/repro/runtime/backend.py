@@ -12,13 +12,13 @@ Splitting the backend out of the cache buys two things:
 
 - **shared tiers are swappable**: a remote backend (redis, memcached,
   an object store) slots in behind the same five methods without the
-  LRU, stats, or serving layers noticing -- the cluster's shard
-  workers all point their backends at one directory today and could
+  LRU, stats, or serving layers noticing -- the processes sharing a
+  store all point their backends at one directory today and could
   point at one network endpoint tomorrow;
 - **writer identity is explicit**: every stored entry records which
   backend instance (``label``) wrote it, so a reader can tell a hit on
   its *own* earlier work from a hit on an entry some other process
-  contributed -- the "cross-worker hit" signal that proves a shared
+  contributed -- the "cross-process hit" signal that proves a shared
   cache tier is actually shared (see ``CacheStats.cross_hits``).
 
 Entries remain version-2 documents; ``writer`` is an optional field

@@ -3,7 +3,7 @@
 Identical :class:`~repro.core.problem.SchedulingProblem` instances are
 re-solved from scratch all over the repo -- across sweep pivot rows,
 across benchmark repetitions, across CLI invocations, across the
-cluster's shard workers.  This module memoizes solves keyed by the
+process pool's workers.  This module memoizes solves keyed by the
 content fingerprint of their inputs (:mod:`repro.runtime.fingerprint`):
 
 - a bounded in-memory LRU serves the hot set without touching the
@@ -18,7 +18,7 @@ content fingerprint of their inputs (:mod:`repro.runtime.fingerprint`):
 - every stored entry records its **writer label**, so a hit on an
   entry some *other* process wrote is counted separately
   (``stats.cross_hits``) -- the signal that a shared tier is actually
-  being shared across cluster workers;
+  being shared across processes;
 - counters are mirrored onto the process metrics registry *and*
   periodically flushed to an atomic **stats sidecar** file inside the
   store (``stats/<label>.json``), so ``repro cache stats`` can
@@ -289,9 +289,8 @@ class ScheduleCache:
         (overrides ``directory``).
     writer_label:
         Identity stamped on stored entries and on the stats sidecar;
-        defaults to a pid-unique token.  Cluster workers pass a
-        shard-tagged label so ``repro cache stats`` can tell them
-        apart.
+        defaults to a pid-unique token, so ``repro cache stats`` can
+        tell the processes sharing a store apart.
     """
 
     def __init__(

@@ -43,7 +43,6 @@ class ServiceConfig:
     jobs: Optional[int] = None  # worker processes per batch
     use_cache: bool = True
     cache_dir: Optional[str] = None  # None = $REPRO_CACHE_DIR / default
-    cache_label: Optional[str] = None  # writer identity; None = pid-unique
     batch_window: float = 0.02  # seconds to linger collecting a batch
     max_batch: int = 64
     max_queue: int = 256  # in-flight bound; beyond it -> 429
@@ -82,9 +81,7 @@ class SolveService:
         self.cache: Optional[ScheduleCache] = None
         if self.config.use_cache:
             directory = self.config.cache_dir or default_cache_dir()
-            self.cache = ScheduleCache(
-                directory=directory, writer_label=self.config.cache_label
-            )
+            self.cache = ScheduleCache(directory=directory)
         retry = (
             RetryPolicy(max_attempts=self.config.retry_attempts)
             if self.config.retry_attempts > 1

@@ -96,13 +96,6 @@ _SESSION_ROUTE = re.compile(
 _REQUESTS_HELP = "HTTP requests by endpoint and status code"
 _LATENCY_HELP = "HTTP request wall time by endpoint"
 
-#: Remaining-deadline budget in seconds, set by the cluster router on
-#: forwarded requests.  The worker honors ``min(own timeout, budget)``
-#: so a request that already spent half its budget on a queue-and-retry
-#: at the router cannot occupy a worker for a fresh full timeout.
-DEADLINE_HEADER = "X-Repro-Deadline"
-
-
 def send_reply(
     handler: BaseHTTPRequestHandler,
     status: int,
@@ -216,25 +209,6 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         else:
             self._error("unknown", 404, "not-found", f"no route {self.path}")
 
-    def _timeout_budget(self) -> float:
-        """The per-request wall bound: the configured timeout, tightened
-        by a router-propagated remaining-deadline header when present.
-
-        A malformed or non-positive header is ignored (the router is
-        trusted but the header is not load-bearing for correctness --
-        the worst case is the worker using its own, larger bound)."""
-        limit = self.service.config.request_timeout
-        raw = self.headers.get(DEADLINE_HEADER)
-        if raw is None:
-            return limit
-        try:
-            budget = float(raw)
-        except ValueError:
-            return limit
-        if budget <= 0.0 or budget != budget:  # reject NaN too
-            return limit
-        return min(limit, budget)
-
     # -- endpoints -----------------------------------------------------
 
     def _handle_solve(self) -> Tuple[int, bytes]:
@@ -293,7 +267,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 problem,
                 method,
                 seed,
-                timeout=self._timeout_budget(),
+                timeout=self.service.config.request_timeout,
             )
         except OverloadedError as error:
             # Load shedding, not backend failure: no breaker signal.
@@ -435,7 +409,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     problem,
                     method,
                     seed,
-                    timeout=self._timeout_budget(),
+                    timeout=self.service.config.request_timeout,
                 )
             except OverloadedError as error:
                 breaker.record_neutral()
@@ -528,7 +502,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             return failure
         service = self.service
         breaker = service.breaker
-        deadline = time.monotonic() + self._timeout_budget()
+        deadline = time.monotonic() + service.config.request_timeout
         try:
             with store.checkout(session_id) as session:
                 # Probe (pure) whether this delta needs the guarded

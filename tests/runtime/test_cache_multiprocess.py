@@ -1,7 +1,7 @@
 """Multi-process cache hammer: N processes, one store, zero torn reads.
 
-The cluster's shared tier is only trustworthy if concurrent workers
-re-writing the *same* keys never serve each other torn bytes and never
+A store shared by several processes is only trustworthy if concurrent
+writers re-writing the *same* keys never serve each other torn bytes and never
 lose counts.  This test runs several hammer subprocesses (see
 ``cache_hammer_worker.py``) against one directory and then audits the
 store and the accounting:

@@ -1,82 +1,26 @@
-"""Deadline propagation: the router's remaining-budget header.
+"""The per-request deadline: ``ServiceConfig.request_timeout`` over HTTP.
 
-The cluster router forwards each request with its *remaining* time in
-``X-Repro-Deadline``; the worker tightens its own timeout to it.  The
-header is advisory hardening, so the failure mode of every malformed
-value is "fall back to the configured timeout", never an error.
+A solve that cannot finish inside the configured wall bound is refused
+with the structured ``timeout`` taxonomy (503), not left to occupy the
+service; a generous bound answers normally.
 """
 
-import json
-import urllib.error
-import urllib.request
-from types import SimpleNamespace
-
-import pytest
-
-from repro.serve.handlers import DEADLINE_HEADER, ServiceRequestHandler
 from tests.serve.conftest import solve_body
 
 
-def budget_for(raw, limit=60.0):
-    """_timeout_budget() for one header value, no HTTP involved."""
-    handler = ServiceRequestHandler.__new__(ServiceRequestHandler)
-    handler.server = SimpleNamespace(
-        service=SimpleNamespace(
-            config=SimpleNamespace(request_timeout=limit)
-        )
-    )
-    handler.headers = {} if raw is None else {DEADLINE_HEADER: raw}
-    return handler._timeout_budget()
-
-
-class TestTimeoutBudget:
-    def test_absent_header_uses_configured_timeout(self):
-        assert budget_for(None) == 60.0
-
-    def test_smaller_budget_wins(self):
-        assert budget_for("1.5") == 1.5
-
-    def test_larger_budget_is_clamped_to_own_timeout(self):
-        """A router with a looser deadline cannot loosen the worker."""
-        assert budget_for("120") == 60.0
-
-    @pytest.mark.parametrize("raw", ["", "soon", "1.5s", "nan", "-3", "0"])
-    def test_malformed_or_nonpositive_values_ignored(self, raw):
-        assert budget_for(raw) == 60.0
-
-
 class TestDeadlineOverHTTP:
-    def test_tiny_forwarded_budget_times_out_structurally(
-        self, make_service
-    ):
-        """A request arriving with almost no remaining budget must be
-        refused with the structured timeout taxonomy (degradation off),
-        not occupy the worker for a fresh full timeout."""
-        _, client = make_service(degrade=False, use_cache=False)
-        request = urllib.request.Request(
-            client.base_url + "/v1/solve",
-            data=json.dumps(solve_body(sensors=12)).encode(),
-            headers={
-                "Content-Type": "application/json",
-                DEADLINE_HEADER: "0.001",
-            },
+    def test_tiny_configured_timeout_times_out_structurally(self, make_service):
+        """With degradation off, a request the configured timeout cannot
+        cover gets the structured timeout reply."""
+        _, client = make_service(
+            degrade=False, use_cache=False, request_timeout=0.001
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30.0)
-        assert excinfo.value.code == 503
-        body = json.loads(excinfo.value.read())
+        status, body, _ = client.post("/v1/solve", solve_body(sensors=12))
+        assert status == 503
         assert body["error"]["code"] == "timeout"
 
     def test_generous_budget_answers_normally(self, make_service):
-        _, client = make_service()
-        request = urllib.request.Request(
-            client.base_url + "/v1/solve",
-            data=json.dumps(solve_body()).encode(),
-            headers={
-                "Content-Type": "application/json",
-                DEADLINE_HEADER: "25.0",
-            },
-        )
-        with urllib.request.urlopen(request, timeout=30.0) as response:
-            assert response.status == 200
-            assert json.loads(response.read())["result"]["total_utility"] > 0
+        _, client = make_service(request_timeout=25.0)
+        status, body, _ = client.post("/v1/solve", solve_body())
+        assert status == 200
+        assert body["result"]["total_utility"] > 0

@@ -574,79 +574,7 @@ class TestSessionReplay:
         assert capsys.readouterr().err.startswith("error:")
 
 
-class TestServeWorkersFlag:
-    def test_workers_flag_parses(self):
-        args = build_parser().parse_args(["serve", "--workers", "4"])
-        assert args.workers == 4
-
-    def test_default_is_single_process(self):
-        assert build_parser().parse_args(["serve"]).workers is None
-
-    def test_chaos_cluster_workers_flag_parses(self):
-        args = build_parser().parse_args(["chaos", "--cluster-workers", "2"])
-        assert args.cluster_workers == 2
-        assert build_parser().parse_args(["chaos"]).cluster_workers is None
-
-
-class TestLoadgenCommand:
-    @pytest.fixture
-    def live_service(self):
-        from repro.serve.app import ServiceConfig, SolveService
-
-        service = SolveService(
-            ServiceConfig(port=0, batch_window=0.005, use_cache=False)
-        ).start()
-        yield service
-        service.stop()
-
-    def test_report_on_stdout_and_exit_zero(self, capsys, live_service):
-        assert (
-            main(
-                [
-                    "loadgen",
-                    "--url",
-                    live_service.url,
-                    "--rps",
-                    "25",
-                    "--duration",
-                    "0.4",
-                    "--clients",
-                    "4",
-                ]
-            )
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["kind"] == "repro-loadgen-report"
-        assert report["statuses"] == {"200": 10}
-
-    def test_unmet_slo_exits_one(self, capsys, live_service):
-        assert (
-            main(
-                [
-                    "loadgen",
-                    "--url",
-                    live_service.url,
-                    "--rps",
-                    "25",
-                    "--duration",
-                    "0.4",
-                    "--slo-p95",
-                    "0.000000001",
-                ]
-            )
-            == 1
-        )
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["slo"]["met"] is False
-        assert "SLO not met" in captured.err
-
-    def test_bad_mode_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadgen", "--mode", "zipf"])
-
-
-class TestCacheStatsClusterLine:
+class TestCacheStatsProcessesLine:
     def test_aggregated_line_sums_every_writer(self, capsys, tmp_path):
         from repro.runtime.cache import ScheduleCache
 
@@ -660,9 +588,9 @@ class TestCacheStatsClusterLine:
 
         assert main(["cache", "stats", "--dir", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "cluster   : 2 writers" in out
+        assert "processes : 2 writers" in out
         assert "1 cross-process hits" in out
 
-    def test_untouched_store_prints_no_cluster_line(self, capsys, tmp_path):
+    def test_untouched_store_prints_no_processes_line(self, capsys, tmp_path):
         assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
-        assert "cluster" not in capsys.readouterr().out
+        assert "processes" not in capsys.readouterr().out

@@ -14,7 +14,6 @@ DOCS = [
     ROOT / "docs" / "PERFORMANCE.md",
     ROOT / "docs" / "SERVING.md",
     ROOT / "docs" / "SESSIONS.md",
-    ROOT / "docs" / "SCALING.md",
     ROOT / "docs" / "FLEET.md",
 ]
 

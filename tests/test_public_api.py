@@ -19,7 +19,6 @@ SUBPACKAGES = [
     "repro.io",
     "repro.runtime",
     "repro.obs",
-    "repro.cluster",
 ]
 
 
