@@ -19,8 +19,8 @@ picks the cheapest sound re-solve:
     :func:`~repro.core.repair.best_slot_for`; weight edits re-base the
     evaluators and sweep every slot.  All of it runs through
     :func:`~repro.core.repair.scoped_repair` -- O(live) per cascade
-    round, no heap rebuild, which is where the >= 5x delta-vs-cold
-    speedup pinned in ``BENCH_sessions.json`` comes from.
+    round, no heap rebuild, which is where the delta-vs-cold speedup
+    in docs/SESSIONS.md ("Benchmarks") comes from.
 ``cold``
     Structural deltas (``T`` changed) and every delta of a
     ``consistency="exact"`` session re-run the greedy planner over the

@@ -2,7 +2,7 @@
 
 Pins two fully deterministic counts (no randomness anywhere in either
 path), so structural regressions show up as hard failures long before
-they show up as wall-clock noise in the benchmarks:
+they show up as wall-clock noise in perfbench:
 
 - the marginal-utility evaluations the lazy greedy spends on a fixed
   200-sensor weighted-coverage instance -- a change that weakens the
@@ -12,9 +12,6 @@ they show up as wall-clock noise in the benchmarks:
   non-final round), *independent of the batch width*.  A change that
   de-vectorizes the driver (per-instance or per-sensor passes) fails
   here.
-
-Run by the CI ``kernels-smoke`` and ``batched-smoke`` jobs alongside
-the quick benchmarks.
 """
 
 from __future__ import annotations

@@ -220,12 +220,15 @@ class TestSolveMany:
             assert len(telemetry) == 3
 
     def test_duplicates_solved_once_and_fanned_out(self):
-        problem = make_problem(9)
-        tasks = [(problem, "greedy", seed) for seed in range(6)]
-        results, telemetry = solve_many(tasks, cache=ScheduleCache())
-        assert [t.cache for t in telemetry] == ["miss"] + ["hit"] * 5
-        schedules = {r.schedule for r in results}
-        assert len(schedules) == 1
+        # A sweep-shaped batch: a few instances crossed with a seed
+        # axis, farmed with jobs=4 through a fresh cache.
+        problems = [make_problem(n) for n in (8, 9, 10)]
+        tasks = [(p, "greedy", seed) for seed in range(4) for p in problems]
+        results, telemetry = solve_many(tasks, jobs=4, cache=ScheduleCache())
+        assert [t.cache for t in telemetry] == ["miss"] * 3 + ["hit"] * 9
+        assert [r.schedule for r in results] == [
+            solve(p, m, rng=s).schedule for p, m, s in tasks
+        ]
 
     def test_duplicate_results_do_not_alias(self):
         problem = make_problem(9)

@@ -11,12 +11,13 @@ canonical accumulator.
 
 Warm sessions promise less: always feasible, and for the homogeneous
 family (where any balanced assignment is optimal under greedy's
-tie-breaking value) the same utility as cold.  Both promises are
-pinned here too.
+tie-breaking value) the same utility as cold; for weighted coverage,
+at least 95% of it.  These promises are pinned here too.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.problem import SchedulingProblem
@@ -214,6 +215,40 @@ def test_warm_homogeneous_matches_cold_utility():
         assert slot_utilities(
             session.assignment, session.problem.utility, slots
         ) == slot_utilities(reference, session.problem.utility, slots)
+
+
+def test_warm_coverage_keeps_95_percent_of_cold():
+    # Weighted coverage promises no equality warm, only a repaired
+    # incumbent: through a stream of single-sensor failures it must
+    # keep at least 95% of what a cold re-plan of the survivors scores.
+    n = 200
+    rng = np.random.default_rng(7)
+    covers = {
+        v: {int(e) for e in rng.choice(2 * n, size=8, replace=False)}
+        for v in range(n)
+    }
+    weights = {
+        e: float(w) for e, w in enumerate(rng.uniform(0.5, 2.0, size=2 * n))
+    }
+    problem = SchedulingProblem(
+        num_sensors=n,
+        period=ChargingPeriod.paper_sunny(),
+        utility=WeightedCoverageUtility(covers, weights),
+    )
+    session = Session(problem, consistency="warm")
+    victims = np.random.default_rng(13)
+    for _ in range(20):
+        victim = int(victims.choice(sorted(session.live_sensors())))
+        outcome = session.apply(
+            delta_from_dict({"kind": "sensor-failed", "sensor": victim})
+        )
+        assert outcome.resolve == "warm"
+        cold = period_utility_of(
+            cold_reference(session), problem.utility, session.slots_per_period
+        )
+        assert outcome.period_utility >= 0.95 * cold, (
+            f"warm kept {outcome.period_utility / cold:.4f} of cold"
+        )
 
 
 def test_exact_walk_with_local_search_polish():

@@ -15,6 +15,8 @@ DOCS = [
     ROOT / "docs" / "SERVING.md",
     ROOT / "docs" / "SESSIONS.md",
     ROOT / "docs" / "FLEET.md",
+    ROOT / "docs" / "OBSERVABILITY.md",
+    ROOT / "docs" / "ROBUSTNESS.md",
 ]
 
 
