@@ -22,16 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -158,9 +149,9 @@ class SimulationEngine:
         # Bounded caches of the slot loop (see _command and
         # _intern_active).  Not run state, so checkpoint and restore
         # ignore them and a resumed engine rebuilds them.
-        # id(command frozenset) -> [the set, its mask, sorted ids]
+        # id(command frozenset) -> [the set, its mask, encoded sorted ids]
         self._commands = SlotValueMemo(SLOT_CACHE_ENTRIES)
-        # activity-mask bytes -> (active set, its ascending id tuple)
+        # activity-mask bytes -> [active set, ascending id tuple, its JSON]
         self._active_sets = SlotValueMemo(SLOT_CACHE_ENTRIES)
         # Metric handles are resolved once; per-slot work is then a
         # couple of lock-protected adds (or no-ops under REPRO_OBS=0).
@@ -245,7 +236,8 @@ class SimulationEngine:
             # shared NodeArrays, bit-identical to the scalar loop below.
             command = self._command(commands)
             was_active, refused = self.network.arrays.step_all(command[1])
-            active_set, active_ids = self._intern_active(was_active)
+            interned = self._intern_active(was_active)
+            active_set = interned[0]
             reports: List[NodeSlotReport] = []
         else:
             charge_scale = 1.0
@@ -266,7 +258,7 @@ class SimulationEngine:
                     )
                 )
             active_set = frozenset(r.node_id for r in reports if r.was_active)
-            active_ids = None
+            interned = None
             refused = sum(1 for r in reports if r.refused_activation)
 
         if self.sensing_filter is not None:
@@ -277,7 +269,7 @@ class SimulationEngine:
             active_set = frozenset(
                 v for v in active_set if self.sensing_filter(v, slot)
             )
-            active_ids = None
+            interned = None
         self._refused_total += refused
         record = self._accumulator.record(slot, active_set, refused=refused)
 
@@ -285,16 +277,17 @@ class SimulationEngine:
             self.event_process.step(slot, active_set)
 
         if obs_events.sink_active():
-            # Sorted id lists cost O(n log n) at fleet scale: on the fast
-            # path built once per distinct set, and not at all when
-            # nothing is listening.
+            # Sorted id lists cost O(n log n) at fleet scale and their
+            # JSON about as much again: on the fast path both are built
+            # once per distinct set, and not at all when nothing is
+            # listening.
             obs_events.emit(
                 "engine.slot",
                 slot=slot,
                 commanded=self._sorted_ids(commands, command),
                 active=(
-                    active_ids
-                    if active_ids is not None
+                    self._encoded_ids(interned)
+                    if interned is not None
                     else sorted(active_set)
                 ),
                 utility=record.utility,
@@ -313,9 +306,10 @@ class SimulationEngine:
         self._m_slot_seconds.observe(time.perf_counter() - step_start)
 
     def _command(self, commands: Iterable[int]) -> List:
-        """``[commands, mask, sorted ids]`` of the slot's commands; the
-        read-only mask feeds ``NodeArrays.step_all``, the sorted ids
-        (filled on first use) the ``engine.slot`` event.
+        """``[commands, mask, encoded sorted ids]`` of the slot's
+        commands; the read-only mask feeds ``NodeArrays.step_all``, the
+        sorted ids and their JSON text (filled on first use, see
+        :meth:`_sorted_ids`) the ``engine.slot`` event.
 
         A frozenset's entry is built once and reused while the policy
         keeps handing over that same object, as a schedule does every
@@ -334,10 +328,9 @@ class SimulationEngine:
             entry = self._commands.store(id(commands), [commands, mask, None])
         return entry
 
-    def _intern_active(
-        self, was_active: np.ndarray
-    ) -> Tuple[FrozenSet[int], Tuple[int, ...]]:
-        """The active set of an activity mask, with its ascending ids.
+    def _intern_active(self, was_active: np.ndarray) -> List:
+        """``[active set, ascending ids, encoded ids]`` of an activity
+        mask.
 
         This is the fast path's one construction site: a frozenset
         filled in ascending id order, the same order as the scalar
@@ -347,27 +340,37 @@ class SimulationEngine:
         memo hits become identity probes.  Reusing the object is
         bit-exact because a fresh build would lay the set out
         identically.  The id tuple is the ``engine.slot`` event's
-        ``active`` list, already sorted.
+        ``active`` list, already sorted; its JSON text is filled in by
+        :meth:`_encoded_ids` when a sink first needs it.
         """
         key = was_active.tobytes()
         interned = self._active_sets.lookup(key)
         if interned is None:
             ids = np.flatnonzero(was_active).tolist()
             interned = self._active_sets.store(
-                key, (frozenset(ids), tuple(ids))
+                key, [frozenset(ids), tuple(ids), None]
             )
         return interned
 
     @staticmethod
+    def _encoded_ids(interned: List) -> obs_events.Encoded:
+        """The interned active ids with their JSON text, encoded once
+        per distinct set and only when a sink asks for them."""
+        if interned[2] is None:
+            interned[2] = obs_events.Encoded.of(interned[1])
+        return interned[2]
+
+    @staticmethod
     def _sorted_ids(
         commands: Iterable[int], command: Optional[List]
-    ) -> Sequence[int]:
-        """``sorted(commands)``; on the fast path kept in the command
-        entry (as a tuple: every event of that set shares it)."""
-        if command is None:
+    ) -> Union[List[int], obs_events.Encoded]:
+        """``sorted(commands)``; for a cached command frozenset kept in
+        its entry as a tuple with its JSON text, which every event of
+        that set splices in."""
+        if command is None or not isinstance(commands, frozenset):
             return sorted(commands)
         if command[2] is None:
-            command[2] = tuple(sorted(commands))
+            command[2] = obs_events.Encoded.of(tuple(sorted(commands)))
         return command[2]
 
     # ------------------------------------------------------------------

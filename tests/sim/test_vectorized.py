@@ -10,6 +10,7 @@ restore), so filtered ("stuck") sensors still drain while their
 readings are discarded.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -19,12 +20,14 @@ from repro.coverage.deployment import uniform_deployment
 from repro.coverage.geometry import Rectangle
 from repro.coverage.matrix import coverage_sets
 from repro.coverage.sensing import DiskSensingModel
+from repro.core import solver
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.energy.period import ChargingPeriod
 from repro.energy.states import NodeState
 from repro.obs import events as obs_events
 from repro.policies.base import ActivationPolicy
 from repro.policies.schedule_policy import SchedulePolicy
+from repro.sim.cityscale import city_scenario
 from repro.sim.engine import SLOT_CACHE_ENTRIES, SimulationEngine
 from repro.sim.network import SensorNetwork
 from repro.utility.target_system import TargetSystem
@@ -445,6 +448,28 @@ class TestSlotCaches:
         # The resumed engine rebuilt its caches from the restored state.
         assert 0 < len(resumed._active_sets) <= SLOT_CACHE_ENTRIES
 
+    def test_ids_are_encoded_only_for_a_sink(self, tmp_path):
+        schedule = schedule_for(self.N, PERIOD.slots_per_period)
+
+        def encoded_entries(engine):
+            entries = [
+                *engine._commands._entries.values(),
+                *engine._active_sets._entries.values(),
+            ]
+            assert len(entries) > PERIOD.slots_per_period
+            return [entry[2] is not None for entry in entries]
+
+        quiet = self.policy_engine(SchedulePolicy(schedule), True)
+        assert obs_events.get_sink() is None
+        quiet.run(self.SLOTS)
+        assert not any(encoded_entries(quiet))
+        listened, _, _ = run_with_sink(
+            self.policy_engine(SchedulePolicy(schedule), True),
+            tmp_path / "fast.jsonl",
+            self.SLOTS,
+        )
+        assert all(encoded_entries(listened))
+
     def test_caches_stay_bounded_under_fresh_sets(self, tmp_path):
         slots = SLOT_CACHE_ENTRIES + 40
         policy = FreshRandomCommands(self.N)
@@ -472,3 +497,43 @@ class TestSlotCaches:
             engine._commands.lookup(id(commands))[0] is commands
             for commands in issued[first_kept:]
         )
+
+
+class TestEventBytesGolden:
+    """The ``engine.slot`` stream of a greedy-planned city, byte for byte.
+
+    ``TestSlotCaches`` compares the two stepping paths with each other,
+    and both go through the same JSON encoder; this pin also catches an
+    encoder change that alters both sides alike.  The digest and length
+    were recorded before the event sink learned to splice pre-encoded
+    id lists.
+    """
+
+    SENSORS = 2000
+    SLOTS = 200
+    LENGTH = 916_225
+    SHA256 = "4d7157e33a31385624920bb002469d9dfbad3a48f01ba2a18def08bb00529c65"
+
+    @pytest.fixture(scope="class")
+    def planned_city(self):
+        scenario = city_scenario(self.SENSORS, districts=8, seed=1)
+        planned = solver.solve(scenario.problem(), method="greedy")
+        return scenario, planned.periodic
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_stream_matches_golden_digest(
+        self, planned_city, vectorized, tmp_path
+    ):
+        scenario, schedule = planned_city
+        network = SensorNetwork(
+            num_sensors=scenario.num_sensors,
+            period=scenario.period,
+            utility=scenario.utility,
+            node_periods=scenario.node_periods,
+        )
+        engine = SimulationEngine(
+            network, SchedulePolicy(schedule), vectorized=vectorized
+        )
+        _, _, stream = run_with_sink(engine, tmp_path / "city.jsonl", self.SLOTS)
+        assert len(stream) == self.LENGTH
+        assert hashlib.sha256(stream).hexdigest() == self.SHA256
