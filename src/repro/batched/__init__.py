@@ -6,8 +6,8 @@ were still solved one at a time.  This package adds the cross-instance
 fast path:
 
 - :class:`~repro.batched.batch.InstanceBatch` -- a struct-of-arrays
-  view over a group of problems (padded sensor x slot arrays plus
-  per-family payload arrays), built once per batch;
+  view over a group of problems (padded sensor x slot masks and real
+  sensor counts), built once per batch;
 - :mod:`~repro.batched.kernels` -- one vectorized marginal-gain kernel
   per utility family (detection, homogeneous detection, logsum,
   weighted coverage, area, target-system) that evaluates whole gain
@@ -19,45 +19,25 @@ fast path:
   entry point, returning :class:`~repro.core.solver.SolveResult`
   objects **bit-for-bit identical** to a serial ``solve(...)`` loop.
 
-Bit-exactness is the contract, not an aspiration: the batched path
-replicates the serial evaluators' accumulation discipline (identical
-frozenset construction sequences, cached scalars recomputed by the
-family's own methods, sequential reduction order via the masked-cumsum
-identity ``x + 0.0 == x``), and it deliberately avoids numpy's
+Bit-exactness is the contract, not an aspiration.  Four of the six
+kernels hold no family state of their own: they drive one serial
+incremental evaluator per ``(instance, slot)`` and vectorize only the
+gain read over its cached scalar, so the running state is the serial
+path's by construction.  Coverage and area keep integer cover counters,
+which are exact.  The gain expressions reduce in the serial order (the
+masked-cumsum identity ``x + 0.0 == x``) and avoid numpy's
 transcendental ufuncs -- ``np.log1p``/``np.expm1`` are not bit-equal to
-the ``math`` module's libm calls on every platform, so the logsum
-kernel evaluates ``math.log1p`` per candidate and the homogeneous
-detection kernel gathers from a value table built by
-``value_of_count`` itself.
-
-Set ``REPRO_BATCHED=0`` to disable the batched routing everywhere (the
-serial path is the escape hatch, exactly as ``REPRO_INCREMENTAL=0`` is
-for the incremental evaluators).
+the ``math`` module's libm calls on every platform.
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.batched.batch import InstanceBatch, batchable
 from repro.batched.greedy import batched_greedy, solve_batch
-
-
-def batched_enabled() -> bool:
-    """Whether batched routing is active (``REPRO_BATCHED``).
-
-    Defaults to on; ``0`` / ``false`` / ``off`` select the serial
-    escape hatch.  Read per ``solve_many`` call, so the toggle applies
-    without restarting the service.
-    """
-    raw = os.environ.get("REPRO_BATCHED", "1").strip().lower()
-    return raw not in ("0", "false", "off")
-
 
 __all__ = [
     "InstanceBatch",
     "batchable",
-    "batched_enabled",
     "batched_greedy",
     "solve_batch",
 ]

@@ -4,43 +4,22 @@ An :class:`InstanceBatch` holds N instances that share a slot count
 ``T`` and a utility family, padded to a common sensor count ``n_max``.
 The batched kernels (:mod:`repro.batched.kernels`) hang their per-family
 payload arrays off this structure; the batch itself owns only the
-generic shape data (masks, real sensor counts) plus a per-instance
-*spec* -- a plain-python snapshot of the utility's defining data, deep
-enough to rebuild an equivalent :class:`SchedulingProblem` from scratch
-(:meth:`InstanceBatch.rebuild_problem`, exercised by the round-trip
-property tests).
+generic shape data (masks, real sensor counts).
 
 Eligibility is decided per instance by :func:`batchable` (supported
-family, rho >= 1) and per group by :meth:`InstanceBatch.build` (same
-``T``, same family).  Anything else falls back to the serial path --
-batching is an optimization, never an eligibility test.
+family, rho >= 1) and per group by the :class:`InstanceBatch`
+constructor (same ``T``, same family).  Anything else falls back to the
+serial path -- batching is an optimization, never an eligibility test.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.problem import SchedulingProblem
-from repro.utility.area import AreaCoverageUtility
-from repro.utility.coverage_count import WeightedCoverageUtility
-from repro.utility.detection import (
-    DetectionUtility,
-    HomogeneousDetectionUtility,
-)
-from repro.utility.logsum import LogSumUtility
-from repro.utility.target_system import TargetSystem
-
-#: Family tags, matching the incremental evaluators' ``family`` strings.
-FAMILIES = (
-    "detection",
-    "homogeneous-detection",
-    "logsum",
-    "coverage",
-    "area",
-    "target-system",
-)
+from repro.utility.incremental import detection_targets, evaluator_class
 
 
 class BatchError(ValueError):
@@ -50,44 +29,18 @@ class BatchError(ValueError):
 def family_of(problem: SchedulingProblem) -> Optional[str]:
     """The batch-kernel family of the problem's utility, or ``None``.
 
-    Order matters: :class:`HomogeneousDetectionUtility` is not a
-    :class:`DetectionUtility` subclass, but :class:`CoverageCountUtility`
-    *is* a :class:`WeightedCoverageUtility` and must land on "coverage".
+    The family is the tag of the serial evaluator
+    :func:`~repro.utility.incremental.evaluator_class` dispatches to;
+    utilities without one, and target systems outside
+    :func:`~repro.utility.incremental.detection_targets`, have no kernel.
     """
     fn = problem.utility
-    if isinstance(fn, HomogeneousDetectionUtility):
-        return "homogeneous-detection"
-    if isinstance(fn, DetectionUtility):
-        return "detection"
-    if isinstance(fn, LogSumUtility):
-        return "logsum"
-    if isinstance(fn, WeightedCoverageUtility):
-        return "coverage"
-    if isinstance(fn, AreaCoverageUtility):
-        return "area"
-    if isinstance(fn, TargetSystem):
-        if _target_system_batchable(fn):
-            return "target-system"
-    return None
-
-
-def _target_system_batchable(fn: TargetSystem) -> bool:
-    """Mirror of ``TargetSystemEvaluator._build_fast_kernel``'s gate:
-    every child a plain detection utility whose probability table covers
-    its target's sensors."""
-    children = [fn.target_utility(i) for i in range(fn.num_targets)]
-    if not all(
-        isinstance(c, DetectionUtility)
-        and not isinstance(c, HomogeneousDetectionUtility)
-        for c in children
-    ):
-        return False
-    for tid, child in enumerate(children):
-        probs = child._probabilities
-        for v in fn.coverage_set(tid):
-            if v not in probs:
-                return False
-    return True
+    family = evaluator_class(fn).family
+    if family == "recompute":
+        return None
+    if family == "target-system" and not detection_targets(fn):
+        return None
+    return family
 
 
 def batchable(problem: SchedulingProblem) -> Tuple[bool, str]:
@@ -104,53 +57,6 @@ def batchable(problem: SchedulingProblem) -> Tuple[bool, str]:
     return True, "ok"
 
 
-def _utility_spec(family: str, fn) -> Dict[str, object]:
-    """Plain-python snapshot of the utility's defining data."""
-    if family == "detection":
-        return {"probabilities": dict(fn._probabilities)}
-    if family == "homogeneous-detection":
-        return {"sensors": tuple(sorted(fn.ground_set)), "p": fn.p}
-    if family == "logsum":
-        return {"weights": dict(fn._weights)}
-    if family == "coverage":
-        return {
-            "covers": {v: frozenset(c) for v, c in fn._covers.items()},
-            "element_weights": dict(fn._weights),
-        }
-    if family == "area":
-        return {"subregions": tuple(fn._subregions)}
-    if family == "target-system":
-        return {
-            "coverage_sets": tuple(fn._coverage),
-            "probabilities": tuple(
-                dict(fn.target_utility(i)._probabilities)
-                for i in range(fn.num_targets)
-            ),
-        }
-    raise BatchError(f"unknown family {family!r}")
-
-
-def _rebuild_utility(family: str, spec: Dict[str, object]):
-    if family == "detection":
-        return DetectionUtility(spec["probabilities"])
-    if family == "homogeneous-detection":
-        return HomogeneousDetectionUtility(spec["sensors"], spec["p"])
-    if family == "logsum":
-        return LogSumUtility(spec["weights"])
-    if family == "coverage":
-        return WeightedCoverageUtility(
-            spec["covers"], element_weights=spec["element_weights"]
-        )
-    if family == "area":
-        return AreaCoverageUtility(spec["subregions"])
-    if family == "target-system":
-        return TargetSystem(
-            spec["coverage_sets"],
-            [DetectionUtility(p) for p in spec["probabilities"]],
-        )
-    raise BatchError(f"unknown family {family!r}")
-
-
 class InstanceBatch:
     """N same-family, same-``T`` instances padded to a common ``n_max``.
 
@@ -159,7 +65,7 @@ class InstanceBatch:
     problems:
         The member instances, in submission order.
     family:
-        Shared utility family (one of :data:`FAMILIES`).
+        Shared utility family (a serial evaluator's ``family`` tag).
     slots_per_period:
         Shared ``T``.
     n_max:
@@ -204,15 +110,6 @@ class InstanceBatch:
             np.arange(self.n_max, dtype=np.intp)[None, :]
             < self.n_real[:, None]
         )
-        self._specs: List[Dict[str, object]] = [
-            _utility_spec(self.family, p.utility) for p in problems
-        ]
-
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def build(cls, problems: Sequence[SchedulingProblem]) -> "InstanceBatch":
-        return cls(problems)
 
     def __len__(self) -> int:
         return len(self.problems)
@@ -220,23 +117,3 @@ class InstanceBatch:
     @property
     def size(self) -> int:
         return len(self.problems)
-
-    def spec(self, index: int) -> Dict[str, object]:
-        """The captured utility snapshot of member ``index``."""
-        return self._specs[index]
-
-    def rebuild_problem(self, index: int) -> SchedulingProblem:
-        """Reconstruct member ``index`` from the captured spec.
-
-        The utility is built *fresh* from the snapshot (not the original
-        object), so the round-trip property tests genuinely exercise the
-        extraction: the rebuilt problem must agree with the original on
-        shape, regime and utility values.
-        """
-        original = self.problems[index]
-        return SchedulingProblem(
-            num_sensors=original.num_sensors,
-            period=original.period,
-            utility=_rebuild_utility(self.family, self._specs[index]),
-            num_periods=original.num_periods,
-        )

@@ -191,7 +191,7 @@ def solve_batch(
         raise ValueError(
             f"solve_batch only supports method='greedy', got {method!r}"
         )
-    batch = InstanceBatch.build(problems)
+    batch = InstanceBatch(problems)
     start = time.perf_counter()
     schedules = batched_greedy(batch)
     elapsed = time.perf_counter() - start

@@ -1,25 +1,15 @@
-"""Pluggable persistence backends for the schedule cache.
+"""The on-disk shared tier of the schedule cache.
 
 :class:`~repro.runtime.cache.ScheduleCache` layers a process-local LRU
-over a *backend* -- the tier shared between processes.  This module
-defines the :class:`CacheBackend` protocol that tier must satisfy and
-the one production implementation, :class:`DirectoryBackend`: the
-crash-safe, file-locked, checksum-verified directory store that PR 6
-hardened (torn writes quarantined, contended writers skipped, reads
-lock-free).
+over :class:`DirectoryBackend`: the crash-safe, file-locked,
+checksum-verified directory store (torn writes quarantined, contended
+writers skipped, reads lock-free).
 
-Splitting the backend out of the cache buys two things:
-
-- **shared tiers are swappable**: a remote backend (redis, memcached,
-  an object store) slots in behind the same five methods without the
-  LRU, stats, or serving layers noticing -- the processes sharing a
-  store all point their backends at one directory today and could
-  point at one network endpoint tomorrow;
-- **writer identity is explicit**: every stored entry records which
-  backend instance (``label``) wrote it, so a reader can tell a hit on
-  its *own* earlier work from a hit on an entry some other process
-  contributed -- the "cross-process hit" signal that proves a shared
-  cache tier is actually shared (see ``CacheStats.cross_hits``).
+Every stored entry records which backend instance (``label``) wrote
+it, so a reader can tell a hit on its *own* earlier work from a hit on
+an entry some other process contributed -- the "cross-process hit"
+signal that proves a shared cache tier is actually shared (see
+``CacheStats.cross_hits``).
 
 Entries remain version-2 documents; ``writer`` is an optional field
 outside the payload checksum, so stores written by older code read
@@ -31,7 +21,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Protocol, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.faults.injector import maybe_hit
 from repro.obs import events as obs_events
@@ -60,42 +50,13 @@ def payload_checksum(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-class CacheBackend(Protocol):
-    """What a shared cache tier must provide.
-
-    Implementations must make :meth:`load` safe against concurrent
-    :meth:`store` calls from other processes -- a reader may see the
-    old entry or the new one, never torn bytes -- and must treat every
-    failure as a miss or a skipped write, never an exception that
-    takes the caller's solve down.
-    """
-
-    #: Writer identity recorded on stored entries (one per instance).
-    label: str
-
-    def load(self, key: str) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
-        """The ``(payload, writer_label)`` for ``key``, or ``None``."""
-        ...
-
-    def store(self, key: str, payload: Dict[str, Any]) -> bool:
-        """Persist ``payload`` under ``key``; ``False`` if skipped."""
-        ...
-
-    def remove(self, key: str) -> None:
-        """Drop ``key`` if present (corrupt-entry eviction)."""
-        ...
-
-    def clear(self) -> int:
-        """Drop every entry; returns how many were removed."""
-        ...
-
-    def entries(self) -> int:
-        """Entries currently held."""
-        ...
-
-
 class DirectoryBackend:
     """The on-disk store: atomic writes, checksums, quarantine, locks.
+
+    :meth:`load` is safe against concurrent :meth:`store` calls from
+    other processes -- a reader sees the old entry or the new one,
+    never torn bytes -- and every failure reads as a miss or a skipped
+    write, never an exception that takes the caller's solve down.
 
     Parameters
     ----------
@@ -120,7 +81,7 @@ class DirectoryBackend:
         self.label = label if label is not None else default_writer_label()
         self.on_quarantine = on_quarantine
 
-    # -- CacheBackend --------------------------------------------------
+    # -- entries -------------------------------------------------------
 
     def load(self, key: str) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
         """Read ``key``; corrupt entries are quarantined and read as

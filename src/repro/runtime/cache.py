@@ -1,4 +1,4 @@
-"""Schedule cache: in-memory LRU over a pluggable shared backend.
+"""Schedule cache: in-memory LRU over an optional on-disk store.
 
 Identical :class:`~repro.core.problem.SchedulingProblem` instances are
 re-solved from scratch all over the repo -- across sweep pivot rows,
@@ -7,9 +7,8 @@ process pool's workers.  This module memoizes solves keyed by the
 content fingerprint of their inputs (:mod:`repro.runtime.fingerprint`):
 
 - a bounded in-memory LRU serves the hot set without touching the
-  backend;
-- the shared tier is a :class:`~repro.runtime.backend.CacheBackend`;
-  the production one (:class:`~repro.runtime.backend.DirectoryBackend`)
+  store;
+- the shared tier, :class:`~repro.runtime.backend.DirectoryBackend`,
   persists entries across processes with the write-tmp/fsync/rename
   discipline of :mod:`repro.io.checkpoint`, SHA-256 payload checksums
   verified on read, quarantine for corrupt files, and advisory
@@ -52,7 +51,6 @@ from repro.runtime.backend import (
     ENTRY_VERSION,
     QUARANTINE_DIR,
     STATS_DIR,
-    CacheBackend,
     DirectoryBackend,
     default_writer_label,
     payload_checksum,
@@ -273,20 +271,17 @@ def _flush_all_sidecars() -> None:
 
 
 class ScheduleCache:
-    """Bounded LRU of solve payloads over an optional shared backend.
+    """Bounded LRU of solve payloads over an optional directory store.
 
     Parameters
     ----------
     capacity:
         Maximum in-memory entries; the least-recently-used entry is
-        evicted past this (it stays in the backend if one is set).
+        evicted past this (it stays in the store if one is set).
     directory:
         Persistent store location (builds a
         :class:`~repro.runtime.backend.DirectoryBackend`); ``None``
-        keeps the cache purely in-memory unless ``backend`` is given.
-    backend:
-        An explicit :class:`~repro.runtime.backend.CacheBackend`
-        (overrides ``directory``).
+        keeps the cache purely in-memory.
     writer_label:
         Identity stamped on stored entries and on the stats sidecar;
         defaults to a pid-unique token, so ``repro cache stats`` can
@@ -297,7 +292,6 @@ class ScheduleCache:
         self,
         capacity: int = 256,
         directory: Optional[PathLike] = None,
-        backend: Optional[CacheBackend] = None,
         writer_label: Optional[str] = None,
     ) -> None:
         if capacity < 1:
@@ -307,14 +301,11 @@ class ScheduleCache:
         self.writer_label = (
             writer_label if writer_label is not None else default_writer_label()
         )
-        if backend is not None:
-            self.backend: Optional[CacheBackend] = backend
-        elif directory is not None:
+        self.backend: Optional[DirectoryBackend] = None
+        if directory is not None:
             self.backend = DirectoryBackend(
                 directory, label=self.writer_label, on_quarantine=self._count_quarantine
             )
-        else:
-            self.backend = None
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._sidecar_marker = 0
         if self._stats_dir() is not None:
@@ -326,11 +317,8 @@ class ScheduleCache:
 
     @property
     def directory(self) -> Optional[Path]:
-        """The directory-store root, when the backend is directory-backed."""
-        backend = self.backend
-        if isinstance(backend, DirectoryBackend):
-            return backend.directory
-        return None
+        """The directory-store root, when there is a store."""
+        return self.backend.directory if self.backend is not None else None
 
     # -- lookup --------------------------------------------------------
 
@@ -449,17 +437,11 @@ class ScheduleCache:
 
     def disk_bytes(self) -> int:
         """Total bytes held by the directory store."""
-        backend = self.backend
-        if isinstance(backend, DirectoryBackend):
-            return backend.size_bytes()
-        return 0
+        return self.backend.size_bytes() if self.backend is not None else 0
 
     def quarantined_entries(self) -> int:
         """Corrupt entries currently sitting in the quarantine area."""
-        backend = self.backend
-        if isinstance(backend, DirectoryBackend):
-            return backend.quarantined()
-        return 0
+        return self.backend.quarantined() if self.backend is not None else 0
 
     # -- cross-process stats sidecar -----------------------------------
 

@@ -40,7 +40,6 @@ from typing import (
     Union,
 )
 
-from repro.batched import batched_enabled
 from repro.batched.batch import batchable, family_of
 from repro.batched.greedy import solve_batch
 from repro.core.problem import SchedulingProblem
@@ -70,7 +69,7 @@ SolveTask = Tuple[SchedulingProblem, str, Optional[int]]
 
 _BATCH_FALLBACK_HELP = (
     "Batched-routing fallbacks to the serial path by reason "
-    "(rho/family/method/singleton/disabled/forced-pool)"
+    "(rho/family/method/singleton/forced-pool)"
 )
 
 #: Dedup-group callback: ``(fingerprint-or-None, member indices,
@@ -295,18 +294,17 @@ def _plan_batches(
 ) -> Tuple[List[List[int]], List[int]]:
     """Split unique work into batched groups and serial positions.
 
-    Batched routing engages only when the toggle is on *and*
-    ``auto_fallback`` is -- ``auto_fallback=False`` means "force the
-    worker pool regardless" (tests pinning parallel execution rely on
-    it), which the batch kernels must respect just as the pool's own
-    serial downgrade does.  Eligible greedy tasks are grouped by
+    Batched routing engages only when ``auto_fallback`` is on --
+    ``auto_fallback=False`` means "force the worker pool regardless"
+    (tests pinning parallel execution rely on it), which the batch
+    kernels must respect just as the pool's own serial downgrade does.  Eligible greedy tasks are grouped by
     ``(family, slots_per_period)``; groups need at least two members to
     beat a plain serial solve, so singletons fall back with their own
     reason label.
     """
-    if not auto_fallback or not batched_enabled():
+    if not auto_fallback:
         if tasks:
-            _batch_fallback("forced-pool" if not auto_fallback else "disabled")
+            _batch_fallback("forced-pool")
         return [], list(range(len(tasks)))
     groups: Dict[Tuple[Optional[str], int], List[int]] = {}
     serial: List[int] = []

@@ -558,11 +558,12 @@ class TargetSystemEvaluator(IncrementalEvaluator):
     O(1) when the child is a :class:`DetectionEvaluator`.
 
     When every child is a detection evaluator whose probability table
-    covers its target's sensors, :meth:`gains` switches to a numpy
-    kernel: per-sensor ``(target-ids, probs)`` arrays are gathered
-    against the maintained per-target miss vector, multiplied
-    element-wise (IEEE-exact), and reduced *sequentially in Python* to
-    preserve the legacy ``gain += term`` accumulation order.
+    covers its target's sensors (:func:`detection_targets`),
+    :meth:`gains` switches to a numpy kernel: per-sensor
+    ``(target-ids, probs)`` arrays are gathered against the maintained
+    per-target miss vector, multiplied element-wise (IEEE-exact), and
+    reduced *sequentially in Python* to preserve the legacy
+    ``gain += term`` accumulation order.
     """
 
     family = "target-system"
@@ -575,32 +576,25 @@ class TargetSystemEvaluator(IncrementalEvaluator):
             make_evaluator(child, incremental=True)
             for child in fn._utilities
         ]
+        self._fast_enabled = detection_targets(fn)
         self._build_fast_kernel()
         super().__init__(fn)
 
     def _build_fast_kernel(self) -> None:
         self._fast: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        fast = all(
-            isinstance(c, DetectionEvaluator) for c in self._children
-        )
-        if fast:
+        if self._fast_enabled:
             for v, tids in self._targets_of.items():
-                probs = []
-                for tid in tids:
-                    p = self._children[tid]._probs.get(v)
-                    if p is None:
-                        fast = False
-                        break
-                    probs.append(p)
-                if not fast:
-                    break
                 self._fast[v] = (
                     np.array(tids, dtype=np.intp),
-                    np.array(probs, dtype=np.float64),
+                    np.array(
+                        [self._children[tid]._probs[v] for tid in tids],
+                        dtype=np.float64,
+                    ),
                 )
-        self._fast_enabled = fast
         self._miss_vec = (
-            np.empty(self._num_targets, dtype=np.float64) if fast else None
+            np.empty(self._num_targets, dtype=np.float64)
+            if self._fast_enabled
+            else None
         )
 
     def _rebuild(self) -> None:
@@ -684,34 +678,58 @@ class TargetSystemEvaluator(IncrementalEvaluator):
             yield from child.drain_ops()
 
 
+def detection_targets(fn: TargetSystem) -> bool:
+    """Whether every target of ``fn`` is a plain detection utility whose
+    probability table covers the target's sensors.
+
+    That is the shape :meth:`TargetSystemEvaluator.gains` vectorizes
+    and the only target system the batched kernels accept.
+    """
+    return all(
+        evaluator_class(child) is DetectionEvaluator
+        and all(v in child._probabilities for v in cover)
+        for child, cover in zip(fn._utilities, fn._coverage)
+    )
+
+
+def evaluator_class(fn: UtilityFunction) -> type:
+    """The specialized evaluator class for ``fn``.
+
+    The one dispatch over utility types; the batched kernels read their
+    family tag from it too.  Order matters:
+    :class:`CoverageCountUtility` *is* a :class:`WeightedCoverageUtility`
+    and shares its evaluator.  Utilities without a specialization
+    (operations combinators, user-supplied functions) get the base
+    :class:`IncrementalEvaluator` -- correct for any
+    :class:`UtilityFunction`.
+    """
+    if isinstance(fn, HomogeneousDetectionUtility):
+        return HomogeneousDetectionEvaluator
+    if isinstance(fn, DetectionUtility):
+        return DetectionEvaluator
+    if isinstance(fn, LogSumUtility):
+        return LogSumEvaluator
+    if isinstance(fn, WeightedCoverageUtility):  # includes CoverageCountUtility
+        return CoverageEvaluator
+    if isinstance(fn, AreaCoverageUtility):
+        return AreaEvaluator
+    if isinstance(fn, TargetSystem):
+        return TargetSystemEvaluator
+    return IncrementalEvaluator
+
+
 def make_evaluator(
     fn: UtilityFunction, incremental: Optional[bool] = None
 ) -> IncrementalEvaluator:
-    """Build the best evaluator for ``fn``.
+    """Build the best evaluator for ``fn`` (see :func:`evaluator_class`).
 
     ``incremental=None`` consults :func:`incremental_enabled`; ``False``
     forces the from-scratch base evaluator (the escape hatch / the
-    differential-test reference); utilities without a specialization
-    (operations combinators, user-supplied functions) also get the base
-    evaluator -- correct for any :class:`UtilityFunction`.
+    differential-test reference).
     """
     if incremental is None:
         incremental = incremental_enabled()
-    if not incremental:
-        return IncrementalEvaluator(fn)
-    if isinstance(fn, HomogeneousDetectionUtility):
-        return HomogeneousDetectionEvaluator(fn)
-    if isinstance(fn, DetectionUtility):
-        return DetectionEvaluator(fn)
-    if isinstance(fn, LogSumUtility):
-        return LogSumEvaluator(fn)
-    if isinstance(fn, WeightedCoverageUtility):  # includes CoverageCountUtility
-        return CoverageEvaluator(fn)
-    if isinstance(fn, AreaCoverageUtility):
-        return AreaEvaluator(fn)
-    if isinstance(fn, TargetSystem):
-        return TargetSystemEvaluator(fn)
-    return IncrementalEvaluator(fn)
+    return (evaluator_class(fn) if incremental else IncrementalEvaluator)(fn)
 
 
 def evaluator_from_deployment(

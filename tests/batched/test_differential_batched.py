@@ -136,12 +136,12 @@ def test_maximally_ragged_batch():
 
 
 # ---------------------------------------------------------------------------
-# Toggle parity: REPRO_BATCHED must be a routing switch, not a result
-# switch.
+# Executor parity: batched routing must change the route, not the result.
 # ---------------------------------------------------------------------------
 
 
-def test_executor_results_identical_under_both_toggles(monkeypatch):
+def test_executor_results_identical_under_both_toggles():
+    """``solve_many`` (batched where eligible) against a serial loop."""
     problems = [
         random_problem(seed=8100 + i, rho=2.0, family="detection")
         for i in range(4)
@@ -152,12 +152,29 @@ def test_executor_results_identical_under_both_toggles(monkeypatch):
         # Dense-regime member: always serial, must be unaffected.
         random_problem(seed=8300, rho=0.5, family="weighted-coverage"),
     ]
-    tasks = [(p, "greedy", None) for p in problems]
-    footprints = {}
-    for flag in ("0", "1"):
-        monkeypatch.setenv("REPRO_BATCHED", flag)
-        results, _telemetry = solve_many(tasks)
-        footprints[flag] = [result_bytes(r) for r in results]
-    assert footprints["0"] == footprints["1"], (
-        "REPRO_BATCHED toggled the solve results, not just the routing"
+    results, telemetry = solve_many([(p, "greedy", None) for p in problems])
+    assert [record.batched for record in telemetry] == [True] * 7 + [False]
+    serial = [solve(p, method="greedy") for p in problems]
+    assert [result_bytes(r) for r in results] == (
+        [result_bytes(r) for r in serial]
+    ), "batched routing changed the solve results, not just the routing"
+
+
+# ---------------------------------------------------------------------------
+# The evaluator-backed kernels must build incremental evaluators.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "family", ("detection", "homogeneous-detection", "logsum", "target-system")
+)
+def test_kernels_ignore_the_incremental_toggle(family, monkeypatch):
+    """Under ``REPRO_INCREMENTAL=0`` the serial reference runs the
+    from-scratch base evaluator, which caches no ``_miss``/``_k``/
+    ``_total``/``_miss_vec``: a kernel that let the toggle pick its
+    evaluators would crash here instead of matching."""
+    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
+    problems = random_batch_problems(
+        seed=81, family=family, sizes=(4, 2, 5), rho=2.0
     )
+    assert_batched_equals_serial(problems)

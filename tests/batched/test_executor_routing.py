@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.solver import solve
 from repro.obs.registry import get_registry
 from repro.runtime.cache import ScheduleCache
 from repro.runtime.executor import solve_many
@@ -69,14 +70,13 @@ class TestBatchedRouting:
             "repro_batched_batches_total", family="logsum"
         ) == 1
 
-    def test_batched_results_equal_serial_results(self, monkeypatch):
+    def test_batched_results_equal_serial_results(self):
         problems = random_batch_problems(
             seed=23, family="weighted-coverage", sizes=(5, 3, 4), rho=3.0
         )
         batched_run, telemetry = solve_many(greedy_tasks(problems))
         assert all(record.batched for record in telemetry)
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        serial_run, _ = solve_many(greedy_tasks(problems))
+        serial_run = [solve(p, method="greedy") for p in problems]
         assert [result_bytes(r) for r in batched_run] == (
             [result_bytes(r) for r in serial_run]
         )
@@ -108,20 +108,6 @@ class TestFallbackReasons:
         _results, telemetry = solve_many(tasks)
         assert not any(record.batched for record in telemetry)
         assert fallbacks("method") == 2
-
-    def test_disabled_toggle_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        problems = random_batch_problems(
-            seed=27, family="detection", sizes=(4, 5), rho=2.0
-        )
-        _results, telemetry = solve_many(greedy_tasks(problems))
-        assert not any(record.batched for record in telemetry)
-        assert fallbacks("disabled") == 1
-        # Falsy, not "is None": a previously-created series survives a
-        # registry reset at value 0.0.
-        assert not get_registry().sample_value(
-            "repro_batched_batches_total", family="detection"
-        )
 
     def test_forced_pool_falls_back(self):
         problems = random_batch_problems(

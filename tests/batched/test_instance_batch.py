@@ -1,10 +1,8 @@
 """Property tests for :class:`repro.batched.batch.InstanceBatch`.
 
-The batch structure makes three promises the kernels build on: the
+The batch structure makes two promises the kernels build on: the
 padding geometry is exact (mask rows count the real sensors and nothing
-else), the captured utility specs are deep enough to rebuild each
-member from scratch (the round-trip tests solve both and compare
-bytes), and ineligible or mixed-shape inputs are rejected with the
+else), and ineligible or mixed-shape inputs are rejected with the
 reason labels the executor's fallback counter carries.
 """
 
@@ -20,12 +18,10 @@ from repro.batched.batch import (
     family_of,
 )
 from repro.core.problem import SchedulingProblem
-from repro.core.solver import solve
 from repro.energy.period import ChargingPeriod
 from repro.utility.detection import HomogeneousDetectionUtility
 from repro.utility.target_system import TargetSystem
 
-from tests.batched.test_differential_batched import result_bytes
 from tests.conftest import (
     BATCH_FAMILIES,
     random_batch_problems,
@@ -34,7 +30,7 @@ from tests.conftest import (
 
 
 def build(family, sizes, seed=3, rho=2.0):
-    return InstanceBatch.build(
+    return InstanceBatch(
         random_batch_problems(seed=seed, family=family, sizes=sizes, rho=rho)
     )
 
@@ -74,41 +70,6 @@ class TestPaddingInvariants:
         assert batch.sensor_mask.dtype == np.bool_
 
 
-class TestRoundTrip:
-    @pytest.mark.parametrize("family", BATCH_FAMILIES)
-    def test_rebuilt_problem_solves_identically(self, family):
-        """Problem -> batch -> rebuilt problem is solve-equivalent.
-
-        The rebuilt utility comes from the captured spec, not the
-        original object, so byte-equal solves prove the spec captured
-        everything the solver can observe.
-        """
-        sizes = (4, 2, 5)
-        batch = build(family, sizes, seed=11, rho=3.0)
-        for i in range(batch.size):
-            rebuilt = batch.rebuild_problem(i)
-            original = batch.problems[i]
-            assert rebuilt.utility is not original.utility
-            assert rebuilt.num_sensors == original.num_sensors
-            assert rebuilt.slots_per_period == original.slots_per_period
-            assert rebuilt.num_periods == original.num_periods
-            assert result_bytes(solve(rebuilt, method="greedy")) == (
-                result_bytes(solve(original, method="greedy"))
-            )
-
-    @pytest.mark.parametrize("family", BATCH_FAMILIES)
-    def test_rebuilt_utility_agrees_on_random_subsets(self, family):
-        batch = build(family, (5,), seed=13, rho=2.0)
-        original = batch.problems[0].utility
-        rebuilt = batch.rebuild_problem(0).utility
-        rng = np.random.default_rng(99)
-        for _ in range(20):
-            subset = frozenset(
-                int(v) for v in np.flatnonzero(rng.random(5) < 0.5)
-            )
-            assert rebuilt.value(subset) == original.value(subset)
-
-
 class TestEligibility:
     def test_dense_regime_rejected_with_rho_reason(self):
         problem = random_problem(seed=5, rho=0.5, family="detection")
@@ -144,7 +105,7 @@ class TestEligibility:
 class TestBuildRejections:
     def test_zero_problems(self):
         with pytest.raises(BatchError, match="zero problems"):
-            InstanceBatch.build([])
+            InstanceBatch([])
 
     def test_mixed_families(self):
         mixed = random_batch_problems(
@@ -153,7 +114,7 @@ class TestBuildRejections:
             seed=7, family="logsum", sizes=(3,), rho=2.0
         )
         with pytest.raises(BatchError, match="mixed utility families"):
-            InstanceBatch.build(mixed)
+            InstanceBatch(mixed)
 
     def test_mixed_slot_counts(self):
         mixed = random_batch_problems(
@@ -163,7 +124,7 @@ class TestBuildRejections:
         )
         assert mixed[0].slots_per_period != mixed[1].slots_per_period
         with pytest.raises(BatchError, match="mixed slots_per_period"):
-            InstanceBatch.build(mixed)
+            InstanceBatch(mixed)
 
     def test_ineligible_member_named_by_position(self):
         good = random_batch_problems(
@@ -171,4 +132,4 @@ class TestBuildRejections:
         )
         bad = random_problem(seed=9, rho=0.5, family="detection")
         with pytest.raises(BatchError, match=r"problem 1 .*rho"):
-            InstanceBatch.build(good + [bad])
+            InstanceBatch(good + [bad])

@@ -1,13 +1,21 @@
-"""Mutation tests: corrupt the mask handling, the suite must notice.
+"""Mutation tests: corrupt one layer, the right suite must notice.
 
 A differential harness that never fails proves nothing.  Each test
-here installs one targeted corruption of the batched path's mask
-handling -- the driver's candidacy mask, its padding sentinel, or a
-kernel's cover/miss state -- and asserts the exact byte comparison of
+here installs one targeted corruption of a layer the batched path owns
+-- the driver's candidacy mask, its padding sentinel, the detection
+kernel's miss gather, the coverage kernel's cover-counter update -- and
+asserts the exact byte comparison of
 ``tests/batched/test_differential_batched.py`` now *fails* on
 instances it passes unmutated.  If a future refactor makes one of
 these corruptions undetectable, the differential suite has silently
 lost its teeth and this file says so.
+
+The running state of the detection, homogeneous-detection, log-sum and
+target-system kernels is the serial evaluators' own, so a bug there
+corrupts both sides of that comparison alike;
+``test_stale_evaluator_rebuild_is_caught_by_the_evaluator_oracle``
+shows that the incremental-vs-base random walks of
+``tests/core/test_differential.py`` are the check that catches it.
 """
 
 from __future__ import annotations
@@ -19,7 +27,9 @@ from repro.batched import greedy as greedy_module
 from repro.batched import kernels as kernels_module
 from repro.batched.greedy import solve_batch
 from repro.core.solver import solve
+from repro.utility import incremental as incremental_module
 
+import tests.core.test_differential as core_differential
 from tests.batched.test_differential_batched import result_bytes
 from tests.conftest import random_batch_problems
 
@@ -88,26 +98,46 @@ def test_weakening_the_mask_sentinel_is_caught(monkeypatch):
 
 
 def test_stale_cover_counters_are_caught(monkeypatch):
-    """Mutation: the coverage kernel's per-element cover counts are
-    never updated after a placement, so every gain keeps counting
-    already-covered elements."""
+    """Mutation: the coverage kernel drops its cover-counter update, so
+    every gain keeps counting already-covered elements."""
     monkeypatch.setattr(
         kernels_module._MaskedSumKernel,
-        "_on_apply",
-        lambda self, index, slot: None,
+        "apply",
+        lambda self, index, sensor, slot: None,
     )
     assert not batched_matches_serial(coverage_problems())
 
 
 def test_stale_miss_products_are_caught(monkeypatch):
-    """Mutation: the detection kernel's miss products stay at 1.0, so
-    slots never saturate and the greedy piles everything onto one."""
+    """Mutation: the detection kernel's miss gather reads 1.0 instead of
+    the slot evaluators' miss products, so slots never saturate and the
+    greedy piles everything onto one."""
     monkeypatch.setattr(
         kernels_module.DetectionKernel,
-        "_on_apply",
-        lambda self, index, slot: None,
+        "_columns",
+        lambda self, pairs: self._p[[i for i, _ in pairs]],
     )
     assert not batched_matches_serial(detection_problems())
+
+
+def test_stale_evaluator_rebuild_is_caught_by_the_evaluator_oracle(
+    monkeypatch,
+):
+    """Mutation: ``DetectionEvaluator._rebuild`` stops refreshing the
+    miss product.  Batched and serial share that evaluator, so they
+    still agree; the incremental-vs-base walk must fail."""
+
+    def stale_rebuild(self):
+        self._miss = 1.0
+
+    monkeypatch.setattr(
+        incremental_module.DetectionEvaluator, "_rebuild", stale_rebuild
+    )
+    assert batched_matches_serial(detection_problems())
+    with pytest.raises(AssertionError):
+        core_differential.test_incremental_equals_recompute_on_random_walks(
+            "detection", 0
+        )
 
 
 def test_mutations_do_not_leak(monkeypatch):
