@@ -14,8 +14,8 @@ every sensor of every requested instance in one numpy pass:
 The detection, homogeneous-detection, log-sum and target-system kernels
 keep no family state of their own.  They hold one serial evaluator per
 ``(instance, slot)``, built by
-:func:`~repro.utility.incremental.make_evaluator` with
-``incremental=True``; :meth:`BatchKernel.apply` is that evaluator's
+:func:`~repro.utility.incremental.make_evaluator`;
+:meth:`BatchKernel.apply` is that evaluator's
 ``add``, and a column reads its cached scalar: the miss product
 ``_miss``, the count ``_k``, the weight total ``_total`` or the
 per-target miss vector ``_miss_vec``.  Rules 1 and 2 of the
@@ -139,10 +139,7 @@ class _EvaluatorKernel(BatchKernel):
     def __init__(self, batch: InstanceBatch):
         super().__init__(batch)
         self._evals = [
-            [
-                make_evaluator(problem.utility, incremental=True)
-                for _ in range(self.T)
-            ]
+            [make_evaluator(problem.utility) for _ in range(self.T)]
             for problem in batch.problems
         ]
 

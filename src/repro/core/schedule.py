@@ -260,13 +260,8 @@ class UnrolledSchedule:
         so slot values are memoized by object identity within one call:
         the same object always yields the same float, and the running
         sum adds the identical values in the identical order as the
-        plain scan -- the result is bit-equal.  Disabled (with the
-        memo skipped entirely) when ``REPRO_INCREMENTAL=0``.
+        plain scan -- the result is bit-equal.
         """
-        from repro.utility.incremental import incremental_enabled
-
-        if not incremental_enabled():
-            return sum(utility.value(s) for s in self.active_sets)
         cache: Dict[int, float] = {}
         total = 0.0
         for s in self.active_sets:

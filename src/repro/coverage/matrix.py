@@ -13,10 +13,10 @@ scheduling layer.
 
 At fleet scale the all-pairs loop is the bottleneck (``O(n * m)``
 ``covers`` calls), so every helper here routes through the uniform-grid
-index of :mod:`repro.coverage.spatial` when ``REPRO_SPATIAL`` allows it
--- bit-identical results by the index's ascending-id contract, with
-``REPRO_SPATIAL=verify`` cross-checking every query against brute
-force.
+index of :mod:`repro.coverage.spatial` whenever
+:func:`~repro.coverage.spatial.index_for` builds one -- bit-identical
+results by the index's ascending-id contract.  Small fleets and
+unbounded models keep the brute-force scan.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.coverage.deployment import Deployment
 from repro.coverage.sensing import SensingModel
-from repro.coverage.spatial import index_for, spatial_mode, verify_covering
+from repro.coverage.spatial import index_for
 
 
 def coverage_sets(
@@ -36,15 +36,10 @@ def coverage_sets(
     """``V(O_i)`` for every target: sensors whose region contains it."""
     index = index_for(deployment.sensors, model)
     if index is not None:
-        verify = spatial_mode() == "verify"
-        sets: List[FrozenSet[int]] = []
-        for target in deployment.targets:
-            covering = index.covering_sensors(target)
-            if verify:
-                covering = verify_covering(index, target, covering)
-            sets.append(covering)
-        return sets
-    sets = []
+        return [
+            index.covering_sensors(target) for target in deployment.targets
+        ]
+    sets: List[FrozenSet[int]] = []
     for target in deployment.targets:
         covering = frozenset(
             j

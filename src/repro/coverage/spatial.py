@@ -31,19 +31,17 @@ bit.  Three properties make that hold:
    ``model.covers`` / ``model.detection_probability`` calls the brute
    force makes; the index never re-derives geometry.
 
-``REPRO_SPATIAL`` selects the path: default on (``1``), ``0`` /
-``false`` / ``off`` force brute force everywhere, and ``verify`` runs
-*both* paths and raises :class:`SpatialMismatchError` on any
-discrepancy -- the differential guard CI exercises.  Even when on, the
-index auto-disables below :data:`SPATIAL_MIN_SENSORS` sensors (the
-build cost cannot win) and for models without a finite
-:meth:`~repro.coverage.sensing.SensingModel.max_radius`.
+The index serves every fleet of at least :data:`SPATIAL_MIN_SENSORS`
+sensors under a model with a finite
+:meth:`~repro.coverage.sensing.SensingModel.max_radius`.  Smaller
+fleets (the build cost cannot win) and unbounded models take the brute
+force scan, which is also the reference the differential tests compare
+the index against.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.coverage.geometry import Point
@@ -54,29 +52,8 @@ from repro.obs.registry import get_registry
 SPATIAL_MIN_SENSORS = 64
 
 
-class SpatialMismatchError(AssertionError):
-    """The indexed path disagreed with brute force (``REPRO_SPATIAL=verify``)."""
-
-
-def spatial_mode() -> str:
-    """The ``REPRO_SPATIAL`` setting: ``"on"``, ``"off"`` or ``"verify"``.
-
-    Defaults to on; ``0`` / ``false`` / ``off`` disable the index,
-    ``verify`` runs index + brute force and asserts bit-identity.
-    Read at query time, so the toggle applies per call.
-    """
-    raw = os.environ.get("REPRO_SPATIAL", "1").strip().lower()
-    if raw in ("0", "false", "off"):
-        return "off"
-    if raw == "verify":
-        return "verify"
-    return "on"
-
-
 def spatial_enabled(num_sensors: int, model: SensingModel) -> bool:
     """Whether the indexed path applies for this (size, model) pair."""
-    if spatial_mode() == "off":
-        return False
     if num_sensors < SPATIAL_MIN_SENSORS:
         return False
     return model.max_radius() is not None
@@ -197,39 +174,11 @@ def index_for(
 ) -> Optional[SpatialGridIndex]:
     """Build an index iff the indexed path applies, else ``None``.
 
-    The single gate the wiring layers (:mod:`repro.coverage.matrix`,
-    :mod:`repro.utility.incremental`) call: it folds together the
-    ``REPRO_SPATIAL`` toggle, the size threshold and the model's reach
-    bound, so callers need no policy of their own.
+    The single gate :mod:`repro.coverage.matrix` calls: it folds
+    together the size threshold and the model's reach bound, so callers
+    need no policy of their own.
     """
     if not spatial_enabled(len(sensors), model):
         return None
     return SpatialGridIndex(sensors, model)
 
-
-def verify_covering(
-    index: SpatialGridIndex, point: Point, indexed: FrozenSet[int]
-) -> FrozenSet[int]:
-    """Differential guard: assert the indexed answer matches brute force.
-
-    Called by the wiring layers under ``REPRO_SPATIAL=verify``.  Returns
-    ``indexed`` unchanged on success so call sites can use it inline.
-    """
-    model = index.model
-    brute = frozenset(
-        j
-        for j, sensor in enumerate(index.sensors)
-        if model.covers(sensor, point)
-    )
-    if brute != indexed:
-        missing = sorted(brute - indexed)
-        extra = sorted(indexed - brute)
-        raise SpatialMismatchError(
-            f"spatial index diverged from brute force at {point}: "
-            f"missing={missing} extra={extra}"
-        )
-    get_registry().counter(
-        "repro_spatial_verified_total",
-        "Point queries cross-checked against brute force",
-    ).inc()
-    return indexed

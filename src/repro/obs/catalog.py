@@ -92,12 +92,6 @@ STANDARD_METRICS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
         (),
         "Sensors skipped by indexed queries vs. brute force",
     ),
-    (
-        "counter",
-        "repro_spatial_verified_total",
-        (),
-        "Point queries cross-checked against brute force",
-    ),
     # -- health monitor (sim/health.py) --------------------------------
     (
         "counter",

@@ -275,7 +275,7 @@ def city_scenario(
         district = district_map[_district_of(target, region, districts)]
         target_weights[t] = diurnal_weight(hour, district.peak_hour)
 
-    # Coverage through the spatial-index path (REPRO_SPATIAL governs),
+    # Coverage through the spatial index (brute force for small fleets),
     # inverted to the sensor -> targets map the utility wants.
     sets = coverage_sets(deployment, model)
     covers: Dict[int, List[int]] = {j: [] for j in range(num_sensors)}

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence
 import numpy as np
 
 from repro.utility.base import UtilityFunction
-from repro.utility.incremental import SlotValueMemo, incremental_enabled
+from repro.utility.incremental import SlotValueMemo
 from repro.utility.target_system import TargetSystem
 
 
@@ -42,9 +42,7 @@ class UtilityAccumulator:
         # memoize their evaluations (see SlotValueMemo for why this is
         # exact for engine-built sets).  The engine disables the memo
         # when a sensing_filter perturbs set construction.
-        self._memo: Optional[SlotValueMemo] = (
-            SlotValueMemo() if incremental_enabled() else None
-        )
+        self._memo: Optional[SlotValueMemo] = SlotValueMemo()
 
     def disable_memo(self) -> None:
         """Turn off slot-value memoization (e.g. under a sensing filter)."""

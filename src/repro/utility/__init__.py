@@ -26,8 +26,7 @@ function with ``U(empty) = 0``.  This subpackage provides:
   coverage relation ``a_ij``.
 - :mod:`~repro.utility.incremental` -- stateful marginal-gain
   evaluators for every family, bit-for-bit equal to the from-scratch
-  ``marginal``/``decrement``/``value`` calls they replace (toggle with
-  ``REPRO_INCREMENTAL=0``).
+  ``marginal``/``decrement``/``value`` calls they replace.
 """
 
 from repro.utility.base import (
@@ -54,7 +53,6 @@ from repro.utility.incremental import (
     IncrementalEvaluator,
     SlotValueMemo,
     flush_ops,
-    incremental_enabled,
     make_evaluator,
     make_slot_evaluators,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "IncrementalEvaluator",
     "SlotValueMemo",
     "flush_ops",
-    "incremental_enabled",
     "make_evaluator",
     "make_slot_evaluators",
 ]

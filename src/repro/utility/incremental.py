@@ -64,15 +64,17 @@ that intersection's layout can change whenever ``S`` changes (CPython
 iterates the smaller operand), even for targets the sensor does not
 cover.
 
-Set ``REPRO_INCREMENTAL=0`` to fall back to the from-scratch path: the
-base :class:`IncrementalEvaluator` delegates every query to the wrapped
-function over identically-built sets, which *is* the legacy behavior.
+The base :class:`IncrementalEvaluator` delegates every query to the
+wrapped function over identically-built sets, which *is* the legacy
+from-scratch behavior.  Production uses it only for utilities without
+a specialization; the differential tests construct it directly
+(``IncrementalEvaluator(fn)``) as the reference the specialized
+evaluators must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import (
     Any,
     Dict,
@@ -104,24 +106,13 @@ _OPS_HELP = "Incremental-evaluator operations by family and kind"
 _EMPTY: SensorSet = frozenset()
 
 
-def incremental_enabled() -> bool:
-    """Whether the incremental kernels are active (``REPRO_INCREMENTAL``).
-
-    Defaults to on; ``0`` / ``false`` / ``off`` select the from-scratch
-    escape hatch.  Read at evaluator-construction time, so the toggle
-    applies per solve/simulate call.
-    """
-    raw = os.environ.get("REPRO_INCREMENTAL", "1").strip().lower()
-    return raw not in ("0", "false", "off")
-
-
 class IncrementalEvaluator:
     """Stateful marginal-gain evaluator over a running active set.
 
-    The base class is also the ``REPRO_INCREMENTAL=0`` escape hatch: it
-    caches nothing and delegates ``gain``/``loss``/``value`` to the
-    wrapped function over sets built by the exact operation sequence the
-    legacy consumers used -- i.e. it *is* the from-scratch path.
+    The base class is also the from-scratch reference: it caches
+    nothing and delegates ``gain``/``loss``/``value`` to the wrapped
+    function over sets built by the exact operation sequence the legacy
+    consumers used.
 
     Subclasses override the ``_``-prefixed hooks to maintain cached
     state; the public API (and the op accounting) lives here.
@@ -573,7 +564,7 @@ class TargetSystemEvaluator(IncrementalEvaluator):
         self._targets_of = fn._targets_of_sensor
         self._num_targets = len(fn._coverage)
         self._children: List[IncrementalEvaluator] = [
-            make_evaluator(child, incremental=True)
+            make_evaluator(child)
             for child in fn._utilities
         ]
         self._fast_enabled = detection_targets(fn)
@@ -718,54 +709,16 @@ def evaluator_class(fn: UtilityFunction) -> type:
     return IncrementalEvaluator
 
 
-def make_evaluator(
-    fn: UtilityFunction, incremental: Optional[bool] = None
-) -> IncrementalEvaluator:
-    """Build the best evaluator for ``fn`` (see :func:`evaluator_class`).
-
-    ``incremental=None`` consults :func:`incremental_enabled`; ``False``
-    forces the from-scratch base evaluator (the escape hatch / the
-    differential-test reference).
-    """
-    if incremental is None:
-        incremental = incremental_enabled()
-    return (evaluator_class(fn) if incremental else IncrementalEvaluator)(fn)
-
-
-def evaluator_from_deployment(
-    deployment,
-    model,
-    p: float = 0.4,
-    incremental: Optional[bool] = None,
-) -> Tuple[TargetSystem, IncrementalEvaluator]:
-    """Build a detection :class:`TargetSystem` + evaluator for a deployment.
-
-    The fleet-scale construction path: per-target coverage sets are
-    computed through :func:`repro.coverage.matrix.coverage_sets`, which
-    routes point queries through the :mod:`repro.coverage.spatial` grid
-    index when ``REPRO_SPATIAL`` allows it -- so at 10^4+ sensors the
-    utility build is O(sensors in nearby cells) per target instead of
-    O(n), while staying bit-identical to brute force (the per-slot
-    evaluations then run over identically-constructed frozensets, which
-    is what the evaluator contract above requires).
-
-    Returns ``(utility, evaluator)`` so callers keep the utility for
-    accumulators and schedules.
-    """
-    from repro.coverage.matrix import coverage_sets
-
-    utility = TargetSystem.homogeneous_detection(
-        coverage_sets(deployment, model), p=p
-    )
-    return utility, make_evaluator(utility, incremental=incremental)
+def make_evaluator(fn: UtilityFunction) -> IncrementalEvaluator:
+    """Build the best evaluator for ``fn`` (see :func:`evaluator_class`)."""
+    return evaluator_class(fn)(fn)
 
 
 def make_slot_evaluators(
     functions: Sequence[UtilityFunction],
-    incremental: Optional[bool] = None,
 ) -> List[IncrementalEvaluator]:
     """One evaluator per slot function (the shape the schedulers use)."""
-    return [make_evaluator(fn, incremental=incremental) for fn in functions]
+    return [make_evaluator(fn) for fn in functions]
 
 
 def flush_ops(

@@ -15,7 +15,7 @@ Algorithm 1 for the multi-target case.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -208,13 +208,6 @@ class PerSlotUtility:
         slots = list(self._slots)
         slots[slot] = fn
         return PerSlotUtility(slots)
-
-    def evaluators(self) -> List["IncrementalEvaluator"]:
-        """One fresh incremental evaluator per slot (see
-        :mod:`repro.utility.incremental`)."""
-        from repro.utility.incremental import make_slot_evaluators
-
-        return make_slot_evaluators(self._slots)
 
     def total(self, assignment: Mapping[int, Iterable[int]]) -> float:
         """Total utility of ``{slot: active sensors}`` over all slots."""

@@ -161,20 +161,24 @@ def test_executor_results_identical_under_both_toggles():
 
 
 # ---------------------------------------------------------------------------
-# The evaluator-backed kernels must build incremental evaluators.
+# The evaluator-backed kernels against from-scratch serial solves.
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
     "family", ("detection", "homogeneous-detection", "logsum", "target-system")
 )
-def test_kernels_ignore_the_incremental_toggle(family, monkeypatch):
-    """Under ``REPRO_INCREMENTAL=0`` the serial reference runs the
-    from-scratch base evaluator, which caches no ``_miss``/``_k``/
-    ``_total``/``_miss_vec``: a kernel that let the toggle pick its
-    evaluators would crash here instead of matching."""
-    monkeypatch.setenv("REPRO_INCREMENTAL", "0")
+def test_kernels_ignore_the_incremental_toggle(family, from_scratch):
+    """The kernels read the specialized evaluators' cached ``_miss``/
+    ``_k``/``_total``/``_miss_vec``; the serial reference here runs the
+    from-scratch base evaluator, which caches none of them.  The batch
+    must still match it bit for bit."""
     problems = random_batch_problems(
         seed=81, family=family, sizes=(4, 2, 5), rho=2.0
     )
-    assert_batched_equals_serial(problems)
+    batched = solve_batch(list(problems))
+    from_scratch()
+    serial = [solve(p, method="greedy") for p in problems]
+    assert [result_bytes(b) for b in batched] == (
+        [result_bytes(s) for s in serial]
+    )

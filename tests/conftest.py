@@ -37,6 +37,45 @@ def _no_leaked_faults():
 
 
 @pytest.fixture
+def from_scratch(monkeypatch):
+    """Call it to serve every utility through the base evaluator.
+
+    The reference twin of the incremental evaluators: once called,
+    :func:`repro.utility.incremental.evaluator_class` answers the base
+    :class:`IncrementalEvaluator` for every utility, so each solver and
+    simulation in the rest of the test recomputes
+    ``marginal``/``decrement``/``value`` from scratch.  Tests run the
+    fast path first, call this, and run the same work again.
+    """
+    from repro.utility import incremental
+
+    def switch() -> None:
+        monkeypatch.setattr(
+            incremental,
+            "evaluator_class",
+            lambda fn: incremental.IncrementalEvaluator,
+        )
+
+    return switch
+
+
+@pytest.fixture
+def brute_coverage(monkeypatch):
+    """Call it to build every coverage set by the brute-force scan.
+
+    The reference twin of the spatial grid index, which serves only
+    fleets of at least ``SPATIAL_MIN_SENSORS`` sensors: once called,
+    that threshold sits above any fleet size for the rest of the test.
+    """
+    from repro.coverage import spatial
+
+    def switch() -> None:
+        monkeypatch.setattr(spatial, "SPATIAL_MIN_SENSORS", 2**62)
+
+    return switch
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(12345)
 

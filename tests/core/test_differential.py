@@ -12,7 +12,9 @@ The same discipline applies to the incremental evaluators of
 **bit-for-bit** interchangeable with the from-scratch path (the
 accumulation contract in that module's docstring), both per-query
 (random add/remove/snapshot-restore walks below) and end-to-end
-(whole solves under ``REPRO_INCREMENTAL=1`` vs ``0``).
+(whole solves with the specialized evaluators against the same solves
+under the ``from_scratch`` fixture, which serves every utility through
+the base evaluator).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.obs.registry import get_registry
 from repro.runtime.fingerprint import canonical_json
 from repro.sim.cityscale import city_scenario
 from repro.utility.area import AreaCoverageUtility, Subregion
-from repro.utility.incremental import make_evaluator
+from repro.utility.incremental import IncrementalEvaluator, make_evaluator
 
 from tests.conftest import UTILITY_FAMILIES, random_problem, random_utility
 
@@ -156,8 +158,8 @@ def test_incremental_equals_recompute_on_random_walks(family, seed):
     walk_seed = 5000 + 97 * EVALUATOR_FAMILIES.index(family) + seed
     rng = np.random.default_rng(walk_seed)
     fn = _utility_for(family, WALK_SENSORS, rng)
-    fast = make_evaluator(fn, incremental=True)
-    slow = make_evaluator(fn, incremental=False)
+    fast = make_evaluator(fn)
+    slow = IncrementalEvaluator(fn)
     assert type(fast) is not type(slow), (
         f"{family}: no specialized evaluator dispatched"
     )
@@ -190,19 +192,22 @@ SOLVE_METHODS = ("greedy", "greedy-naive", "greedy+ls")
 
 
 @pytest.mark.parametrize("family", UTILITY_FAMILIES)
-def test_solves_identical_with_incremental_on_and_off(family, monkeypatch):
-    """End-to-end: whole solves are bit-identical under both toggles."""
+def test_solves_identical_with_incremental_on_and_off(family, from_scratch):
+    """End-to-end: whole solves are bit-identical with the specialized
+    evaluators and with the from-scratch base evaluator."""
     seed = 6000 + UTILITY_FAMILIES.index(family)
     problem = random_problem(seed=seed, num_sensors=8, family=family)
-    footprints = {}
-    for flag in ("0", "1"):
-        monkeypatch.setenv("REPRO_INCREMENTAL", flag)
-        footprints[flag] = [
+
+    def footprints():
+        return [
             schedule_bytes(solve(problem, method=method))
             for method in SOLVE_METHODS
         ]
-    assert footprints["0"] == footprints["1"], (
-        f"family={family}: incremental toggle changed a solve"
+
+    incremental = footprints()
+    from_scratch()
+    assert footprints() == incremental, (
+        f"family={family}: from-scratch evaluation changed a solve"
     )
 
 
@@ -215,7 +220,8 @@ def test_solves_identical_with_incremental_on_and_off(family, monkeypatch):
 #: slot 0, so the evaluators run long add/remove chains on one slot.
 #: Every value below was captured on the eager-chain evaluators, before
 #: the active set was deferred; the plan, its trace and its work must
-#: not move under either ``REPRO_INCREMENTAL`` setting.
+#: not move, with the specialized evaluators (flag ``1``) or under the
+#: ``from_scratch`` fixture (flag ``0``).
 FLEET_PINS = {
     "active": {
         "variant": "lazy",
@@ -264,8 +270,9 @@ def _plan_digest(assignment, trace):
 
 @pytest.mark.parametrize("flag", ("1", "0"))
 @pytest.mark.parametrize("regime", ("active", "passive"))
-def test_fleet_shape_plan_is_pinned(fleet_city, regime, flag, monkeypatch):
-    monkeypatch.setenv("REPRO_INCREMENTAL", flag)
+def test_fleet_shape_plan_is_pinned(fleet_city, regime, flag, from_scratch):
+    if flag == "0":
+        from_scratch()
     pin = FLEET_PINS[regime]
     run = greedy_schedule if regime == "active" else greedy_passive_schedule
     registry = get_registry()

@@ -91,13 +91,14 @@ class TestEvalCountRegression:
         )
 
     @pytest.mark.parametrize("flag", ["0", "1"])
-    def test_eval_count_identical_under_both_toggles(self, monkeypatch, flag):
-        # Counter parity: the incremental path must bill exactly the
-        # evaluations the from-scratch path bills, per variant.
-        monkeypatch.setenv("REPRO_INCREMENTAL", flag)
+    def test_eval_count_identical_under_both_toggles(self, from_scratch, flag):
+        # Counter parity: the incremental path (flag 1) must bill exactly
+        # the evaluations the from-scratch path (flag 0) bills.
+        if flag == "0":
+            from_scratch()
         count = lazy_evals()
         assert count == LAZY_EVALS_BASELINE, (
-            f"REPRO_INCREMENTAL={flag}: {count:.0f} evaluations vs the "
+            f"flag {flag}: {count:.0f} evaluations vs the "
             f"pinned {LAZY_EVALS_BASELINE}"
         )
 

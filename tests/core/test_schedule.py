@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from repro.core.greedy import greedy_schedule
 from repro.core.schedule import (
     InfeasibleScheduleError,
     PeriodicSchedule,
@@ -13,6 +14,8 @@ from repro.core.schedule import (
 )
 from repro.io.serialization import schedule_to_dict
 from repro.utility.detection import HomogeneousDetectionUtility
+
+from tests.conftest import UTILITY_FAMILIES, random_problem
 
 UTILITY = HomogeneousDetectionUtility(range(6), p=0.4)
 
@@ -178,6 +181,17 @@ class TestUnrolling:
         assert unrolled.average_slot_utility(UTILITY) == pytest.approx(
             sched.average_slot_utility(UTILITY)
         )
+
+    @pytest.mark.parametrize("family", UTILITY_FAMILIES)
+    def test_memoized_total_equals_per_slot_sum(self, family):
+        # total_utility memoizes slot values by set identity across the
+        # alpha repeats; it must add exactly the per-slot series.
+        seed = 9100 + UTILITY_FAMILIES.index(family)
+        problem = random_problem(seed, num_sensors=9, rho=3.0, family=family)
+        unrolled = greedy_schedule(problem).unroll(3)
+        series = unrolled.per_slot_utilities(problem.utility)
+        assert len(set(series)) > 1
+        assert unrolled.total_utility(problem.utility) == sum(series)
 
     def test_passive_mode_sets_flag(self):
         sched = PeriodicSchedule(

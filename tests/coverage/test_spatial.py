@@ -6,10 +6,9 @@ same iteration order downstream), same detection probabilities.  These
 tests compare the two paths across random layouts and the adversarial
 geometries -- sensors exactly on cell boundaries, duplicate positions,
 coincident sensor/target pairs, radii far smaller than typical spacing
--- plus the mode toggle, the size gate and the verify guard.
+-- plus the size gate, and whole coverage builds against the same
+builds under the ``brute_coverage`` fixture.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -21,23 +20,9 @@ from repro.coverage.sensing import DiskSensingModel, ProbabilisticSensingModel
 from repro.coverage.spatial import (
     SPATIAL_MIN_SENSORS,
     SpatialGridIndex,
-    SpatialMismatchError,
     index_for,
     spatial_enabled,
-    spatial_mode,
-    verify_covering,
 )
-
-
-@pytest.fixture
-def spatial_env(monkeypatch):
-    def set_mode(value):
-        if value is None:
-            monkeypatch.delenv("REPRO_SPATIAL", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_SPATIAL", value)
-
-    return set_mode
 
 
 def brute_covering(sensors, model, point):
@@ -173,17 +158,7 @@ class TestAdversarialGeometry:
 
 
 class TestModeAndGating:
-    def test_mode_parsing(self, spatial_env):
-        spatial_env(None)
-        assert spatial_mode() == "on"
-        for off in ("0", "false", "OFF"):
-            spatial_env(off)
-            assert spatial_mode() == "off"
-        spatial_env("verify")
-        assert spatial_mode() == "verify"
-
-    def test_auto_off_below_threshold(self, spatial_env):
-        spatial_env(None)
+    def test_auto_off_below_threshold(self):
         model = DiskSensingModel(radius=1.0)
         small = [Point(float(i), 0.0) for i in range(SPATIAL_MIN_SENSORS - 1)]
         large = [Point(float(i), 0.0) for i in range(SPATIAL_MIN_SENSORS)]
@@ -191,12 +166,6 @@ class TestModeAndGating:
         assert index_for(large, model) is not None
         assert not spatial_enabled(len(small), model)
         assert spatial_enabled(len(large), model)
-
-    def test_env_off_disables_even_at_size(self, spatial_env):
-        spatial_env("0")
-        model = DiskSensingModel(radius=1.0)
-        sensors = [Point(float(i), 0.0) for i in range(200)]
-        assert index_for(sensors, model) is None
 
     def test_unbounded_model_is_rejected(self):
         class Unbounded(DiskSensingModel):
@@ -209,49 +178,32 @@ class TestModeAndGating:
         with pytest.raises(ValueError):
             SpatialGridIndex(sensors, model)
 
-    def test_coverage_sets_identical_across_modes(self, spatial_env):
+    def test_coverage_sets_identical_across_modes(self, brute_coverage):
         rng = np.random.default_rng(21)
         deployment = uniform_deployment(
             150, num_targets=30, region=Rectangle.square(7.0), rng=rng
         )
         model = DiskSensingModel(radius=1.2)
-        spatial_env("1")
+        assert index_for(deployment.sensors, model) is not None
         indexed = coverage_sets(deployment, model)
-        spatial_env("0")
+        brute_coverage()
+        assert index_for(deployment.sensors, model) is None
         brute = coverage_sets(deployment, model)
         assert indexed == brute
         for a, b in zip(indexed, brute):
             assert list(a) == list(b)
 
-    def test_detection_probabilities_identical_across_modes(self, spatial_env):
+    def test_detection_probabilities_identical_across_modes(
+        self, brute_coverage
+    ):
         rng = np.random.default_rng(22)
         deployment = uniform_deployment(
             130, num_targets=20, region=Rectangle.square(6.0), rng=rng
         )
         model = ProbabilisticSensingModel(radius=1.4, p0=0.8, beta=0.5)
-        spatial_env("1")
+        assert index_for(deployment.sensors, model) is not None
         indexed = detection_probabilities(deployment, model)
-        spatial_env("0")
+        brute_coverage()
+        assert index_for(deployment.sensors, model) is None
         brute = detection_probabilities(deployment, model)
         assert indexed == brute
-
-    def test_verify_mode_passes_on_honest_index(self, spatial_env):
-        spatial_env("verify")
-        rng = np.random.default_rng(3)
-        deployment = uniform_deployment(
-            100, num_targets=15, region=Rectangle.square(5.0), rng=rng
-        )
-        sets = coverage_sets(deployment, DiskSensingModel(radius=1.0))
-        assert len(sets) == 15
-
-    def test_verify_guard_raises_on_divergence(self):
-        model = DiskSensingModel(radius=1.0)
-        sensors = [Point(0.0, 0.0), Point(0.5, 0.0), Point(5.0, 5.0)]
-        index = SpatialGridIndex(sensors, model)
-        point = Point(0.1, 0.0)
-        honest = index.covering_sensors(point)
-        assert verify_covering(index, point, honest) == honest
-        with pytest.raises(SpatialMismatchError, match="missing"):
-            verify_covering(index, point, honest - {0})
-        with pytest.raises(SpatialMismatchError, match="extra"):
-            verify_covering(index, point, honest | {2})

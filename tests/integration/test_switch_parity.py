@@ -1,17 +1,21 @@
 """End-to-end parity of the fast paths with their reference twins.
 
-Each fast path has a switch back to the code it replaced
-(``REPRO_INCREMENTAL``, ``REPRO_SPATIAL``, the engine's
-``vectorized=``), and the unit suites compare each layer with its twin
-in isolation.  These tests run a whole simulation both ways and require
-the outputs to be equal float for float:
+Each fast path keeps the code it replaced as a reference twin: the base
+evaluator (reached through the ``from_scratch`` fixture), brute-force
+coverage (the ``brute_coverage`` fixture) and the engine's scalar step
+(``vectorized=False``).  The unit suites compare each layer with its
+twin in isolation.  These tests run a whole simulation both ways and
+require the outputs to be equal float for float:
 
 - the paper's evaluation shape (multi-target homogeneous detection,
   p = 0.4) under the greedy periodic policy, with the incremental
-  kernels and the slot-value memo on and off;
+  evaluators and with the from-scratch base evaluator;
 - a city-scale fleet with coverage sets from the spatial index and the
   vectorized engine step, against brute-force coverage and the scalar
   per-node step.
+
+The slot-value memo of the accumulator has no switch: every record of
+the simulate is checked against a fresh evaluation of its active set.
 """
 
 import numpy as np
@@ -49,16 +53,33 @@ def paper_network():
     return SensorNetwork(PAPER_SENSORS, ChargingPeriod.paper_sunny(), system)
 
 
-def test_greedy_simulation_identical_without_incremental_kernels(monkeypatch):
-    series = {}
-    for flag in ("1", "0"):
-        monkeypatch.setenv("REPRO_INCREMENTAL", flag)
-        result = SimulationEngine(paper_network(), GreedyPeriodicPolicy()).run(
-            PAPER_SLOTS
-        )
-        series[flag] = result.accumulator.per_slot_series()
-    assert len(series["1"]) == PAPER_SLOTS
-    assert np.array_equal(series["1"], series["0"])
+def paper_simulate():
+    return SimulationEngine(paper_network(), GreedyPeriodicPolicy()).run(
+        PAPER_SLOTS
+    )
+
+
+def test_greedy_simulation_identical_without_incremental_kernels(from_scratch):
+    incremental = paper_simulate().accumulator.per_slot_series()
+    from_scratch()
+    reference = paper_simulate().accumulator.per_slot_series()
+    assert len(incremental) == PAPER_SLOTS
+    assert np.array_equal(incremental, reference)
+
+
+def test_memoized_slot_utilities_equal_fresh_evaluations():
+    """Periodic plans revisit the same active sets, so most records come
+    out of the accumulator's slot-value memo; each must equal its set's
+    utility evaluated afresh."""
+    result = paper_simulate()
+    utility = result.accumulator.utility
+    records = result.accumulator.records
+    assert len(records) == PAPER_SLOTS
+    assert len({record.active_set for record in records}) < PAPER_SLOTS
+    for record in records:
+        assert record.utility == float(
+            utility.per_target_values(record.active_set).sum()
+        ), record.slot
 
 
 def fleet_run(indexed):
@@ -97,10 +118,9 @@ def fleet_run(indexed):
     return records, index_builds
 
 
-def test_fleet_identical_on_brute_coverage_and_scalar_engine(monkeypatch):
-    monkeypatch.setenv("REPRO_SPATIAL", "1")
+def test_fleet_identical_on_brute_coverage_and_scalar_engine(brute_coverage):
     fast, fast_builds = fleet_run(indexed=True)
-    monkeypatch.setenv("REPRO_SPATIAL", "0")
+    brute_coverage()
     reference, reference_builds = fleet_run(indexed=False)
     assert fast_builds > 0 and reference_builds == 0
     assert len(fast[1]) == FLEET_SLOTS

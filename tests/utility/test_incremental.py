@@ -35,41 +35,18 @@ from repro.utility.incremental import (
     SlotValueMemo,
     TargetSystemEvaluator,
     flush_ops,
-    incremental_enabled,
     make_evaluator,
     make_slot_evaluators,
 )
 from repro.utility.logsum import LogSumUtility
 from repro.utility.operations import ScaledUtility
-from repro.utility.target_system import PerSlotUtility, TargetSystem
+from repro.utility.target_system import TargetSystem
 
 from tests.conftest import random_target_system
 
 
 def detection_fn():
     return DetectionUtility({v: 0.1 + 0.05 * v for v in range(8)})
-
-
-class TestToggle:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INCREMENTAL", raising=False)
-        assert incremental_enabled()
-
-    @pytest.mark.parametrize("raw", ["0", "false", "off", " OFF ", "False"])
-    def test_off_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_INCREMENTAL", raw)
-        assert not incremental_enabled()
-
-    def test_other_values_stay_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "yes")
-        assert incremental_enabled()
-
-    def test_toggle_selects_base_evaluator(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL", "0")
-        evaluator = make_evaluator(detection_fn())
-        assert type(evaluator) is IncrementalEvaluator
-        monkeypatch.setenv("REPRO_INCREMENTAL", "1")
-        assert type(make_evaluator(detection_fn())) is DetectionEvaluator
 
 
 class TestDispatch:
@@ -89,36 +66,32 @@ class TestDispatch:
             (random_target_system(6, 3, rng), TargetSystemEvaluator),
         ]
         for fn, expected in cases:
-            assert type(make_evaluator(fn, incremental=True)) is expected
+            assert type(make_evaluator(fn)) is expected
 
     def test_unknown_family_gets_base(self):
         fn = ScaledUtility(detection_fn(), 2.0)
-        assert type(make_evaluator(fn, incremental=True)) is (
-            IncrementalEvaluator
-        )
+        assert type(make_evaluator(fn)) is IncrementalEvaluator
 
     def test_forced_base(self):
-        assert type(make_evaluator(detection_fn(), incremental=False)) is (
-            IncrementalEvaluator
-        )
+        # The reference twin wraps a specialized family too, and answers
+        # from scratch.
+        fn = detection_fn()
+        evaluator = IncrementalEvaluator(fn)
+        assert evaluator.family == "recompute"
+        evaluator.add(3)
+        assert evaluator.gain(5) == fn.marginal(5, frozenset({3}))
 
     def test_slot_evaluators(self):
         fns = [detection_fn(), detection_fn()]
-        evaluators = make_slot_evaluators(fns, incremental=True)
+        evaluators = make_slot_evaluators(fns)
         assert [type(e) for e in evaluators] == [DetectionEvaluator] * 2
         assert evaluators[0] is not evaluators[1]
-
-    def test_per_slot_utility_evaluators(self):
-        per_slot = PerSlotUtility.uniform(detection_fn(), 3)
-        evaluators = per_slot.evaluators()
-        assert len(evaluators) == 3
-        assert all(isinstance(e, IncrementalEvaluator) for e in evaluators)
 
 
 class TestEvaluatorSemantics:
     def test_gain_matches_marginal_as_set_grows(self):
         fn = detection_fn()
-        evaluator = make_evaluator(fn, incremental=True)
+        evaluator = make_evaluator(fn)
         active = frozenset()
         for v in (3, 0, 5, 7):
             for candidate in range(8):
@@ -131,7 +104,7 @@ class TestEvaluatorSemantics:
 
     def test_loss_matches_decrement(self):
         fn = detection_fn()
-        evaluator = make_evaluator(fn, incremental=True)
+        evaluator = make_evaluator(fn)
         active = frozenset(range(8))
         evaluator.reset(active)
         for v in range(8):
@@ -143,7 +116,7 @@ class TestEvaluatorSemantics:
 
     def test_gain_of_member_and_stranger_is_zero(self):
         fn = detection_fn()
-        evaluator = make_evaluator(fn, incremental=True)
+        evaluator = make_evaluator(fn)
         evaluator.add(4)
         assert evaluator.gain(4) == 0.0
         assert evaluator.gain(999) == 0.0
@@ -152,7 +125,7 @@ class TestEvaluatorSemantics:
     def test_gains_batch_equals_scalar(self):
         rng = np.random.default_rng(17)
         system = random_target_system(12, 5, rng)
-        evaluator = make_evaluator(system, incremental=True)
+        evaluator = make_evaluator(system)
         for v in (1, 6, 9):
             evaluator.add(v)
         candidates = list(range(12))
@@ -165,7 +138,7 @@ class TestEvaluatorSemantics:
     def test_snapshot_restore_is_bit_exact(self):
         rng = np.random.default_rng(23)
         system = random_target_system(10, 4, rng)
-        evaluator = make_evaluator(system, incremental=True)
+        evaluator = make_evaluator(system)
         evaluator.add(2)
         evaluator.add(7)
         token = evaluator.snapshot()
@@ -181,7 +154,7 @@ class TestEvaluatorSemantics:
 
     def test_reset_keeps_the_exact_object(self):
         fn = detection_fn()
-        evaluator = make_evaluator(fn, incremental=True)
+        evaluator = make_evaluator(fn)
         active = frozenset({1, 5})
         evaluator.reset(active)
         assert evaluator.active is active
@@ -191,7 +164,7 @@ class TestEvaluatorSemantics:
 class TestOpsAccounting:
     def test_flush_aggregates_and_resets(self):
         registry = MetricsRegistry()
-        evaluator = make_evaluator(detection_fn(), incremental=True)
+        evaluator = make_evaluator(detection_fn())
         evaluator.add(1)
         evaluator.gain(2)
         evaluator.gain(3)
@@ -211,8 +184,7 @@ class TestOpsAccounting:
     def test_target_system_children_report_their_families(self):
         registry = MetricsRegistry()
         rng = np.random.default_rng(5)
-        evaluator = make_evaluator(random_target_system(8, 3, rng),
-                                   incremental=True)
+        evaluator = make_evaluator(random_target_system(8, 3, rng))
         evaluator.add(0)
         flush_ops([evaluator], registry=registry)
         assert registry.sample_value(
@@ -338,7 +310,10 @@ class DeferredChainMachine(RuleBasedStateMachine):
         super().__init__()
         self.family = family
         self.fn = _sparse_utility(family, np.random.default_rng(len(family)))
-        self.ev = make_evaluator(self.fn, incremental=incremental)
+        self.ev = (
+            make_evaluator(self.fn) if incremental
+            else IncrementalEvaluator(self.fn)
+        )
         self.deferred = incremental and family in COUNTER_FAMILIES
         self.model = frozenset()
         self.built = self.ev._built
