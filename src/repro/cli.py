@@ -79,11 +79,7 @@ from repro.obs.events import EventSink
 from repro.obs.export import to_json, to_prometheus
 from repro.obs.registry import get_registry
 from repro.policies.schedule_policy import SchedulePolicy
-from repro.runtime.cache import (
-    ScheduleCache,
-    aggregate_sidecar_stats,
-    default_cache_dir,
-)
+from repro.runtime.cache import ScheduleCache, default_cache_dir
 from repro.runtime.executor import solve_cached
 from repro.sim.engine import SimulationEngine
 from repro.sim.network import SensorNetwork
@@ -323,18 +319,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 f"{in_process['hits']} hits / {in_process['misses']} misses "
                 f"/ {in_process['stores']} stores "
                 f"/ {in_process['evictions']} evictions"
-            )
-        aggregated = aggregate_sidecar_stats(directory)
-        if aggregated is not None:
-            # Summed across every process that ever touched this store
-            # (each flushes lifetime totals to its own stats sidecar),
-            # so a pool's shared tier is observable from one shell.
-            print(
-                f"processes : {aggregated['writers']} writers / "
-                f"{aggregated['hits']} hits / {aggregated['misses']} misses "
-                f"/ {aggregated['stores']} stores "
-                f"/ {aggregated['disk_hits']} disk hits "
-                f"/ {aggregated['cross_hits']} cross-process hits"
             )
         return 0
     if args.cache_command == "clear":

@@ -347,13 +347,6 @@ STANDARD_METRICS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
         ("source",),
         "Session re-solves answered from a cache (memo/global)",
     ),
-    # -- shared cache tier (runtime/cache.py, runtime/backend.py) ------
-    (
-        "counter",
-        "repro_cache_cross_hits_total",
-        (),
-        "Backend hits on entries written by another process",
-    ),
 )
 
 

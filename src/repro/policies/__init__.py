@@ -35,7 +35,6 @@ from repro.policies.threshold import (
     UtilityAwareThresholdPolicy,
     sustainable_threshold,
 )
-from repro.policies.forecast_policy import ForecastPlanningPolicy
 from repro.policies.self_healing import SelfHealingPolicy
 
 __all__ = [
@@ -48,6 +47,5 @@ __all__ = [
     "ThresholdPolicy",
     "UtilityAwareThresholdPolicy",
     "sustainable_threshold",
-    "ForecastPlanningPolicy",
     "SelfHealingPolicy",
 ]

@@ -1,27 +1,22 @@
-"""The on-disk shared tier of the schedule cache.
+"""The on-disk tier of the schedule cache.
 
 :class:`~repro.runtime.cache.ScheduleCache` layers a process-local LRU
 over :class:`DirectoryBackend`: the crash-safe, file-locked,
 checksum-verified directory store (torn writes quarantined, contended
 writers skipped, reads lock-free).
 
-Every stored entry records which backend instance (``label``) wrote
-it, so a reader can tell a hit on its *own* earlier work from a hit on
-an entry some other process contributed -- the "cross-process hit"
-signal that proves a shared cache tier is actually shared (see
-``CacheStats.cross_hits``).
-
-Entries remain version-2 documents; ``writer`` is an optional field
-outside the payload checksum, so stores written by older code read
-back fine (their writer is simply unknown).
+Entries are version-2 documents: kind, version, key, the payload and
+its checksum.  Fields outside those (such as the ``writer`` label older
+stores stamped on each entry) are ignored on read.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.faults.injector import maybe_hit
 from repro.obs import events as obs_events
@@ -37,10 +32,6 @@ ENTRY_VERSION = 2
 
 #: Subdirectory corrupt entries are moved into (forensics + no races).
 QUARANTINE_DIR = "quarantine"
-
-#: Subdirectory per-process stats sidecars live in (see
-#: :mod:`repro.runtime.cache`); backends skip it when counting entries.
-STATS_DIR = "stats"
 
 
 def payload_checksum(payload: Dict[str, Any]) -> str:
@@ -63,9 +54,6 @@ class DirectoryBackend:
     directory:
         Store root.  Entries are sharded by the first two key hex
         chars to keep directories small at scale.
-    label:
-        Writer identity stamped on entries this instance stores;
-        defaults to a pid-unique token.
     on_quarantine:
         Callback fired once per entry moved into quarantine (the
         owning cache counts it on its stats).
@@ -74,16 +62,14 @@ class DirectoryBackend:
     def __init__(
         self,
         directory: PathLike,
-        label: Optional[str] = None,
         on_quarantine: Optional[Callable[[], None]] = None,
     ) -> None:
         self.directory = Path(directory)
-        self.label = label if label is not None else default_writer_label()
         self.on_quarantine = on_quarantine
 
     # -- entries -------------------------------------------------------
 
-    def load(self, key: str) -> Optional[Tuple[Dict[str, Any], Optional[str]]]:
+    def load(self, key: str) -> Optional[Dict[str, Any]]:
         """Read ``key``; corrupt entries are quarantined and read as
         absent, transient I/O failures read as absent too."""
         path = self._entry_path(key)
@@ -121,8 +107,7 @@ class DirectoryBackend:
         if document.get("checksum") != payload_checksum(payload):
             self._quarantine(path)
             return None
-        writer = document.get("writer")
-        return payload, writer if isinstance(writer, str) else None
+        return payload
 
     def store(self, key: str, payload: Dict[str, Any]) -> bool:
         """Write ``key`` with the checkpoint discipline (tmp + fsync +
@@ -137,7 +122,6 @@ class DirectoryBackend:
                 "kind": ENTRY_KIND,
                 "version": ENTRY_VERSION,
                 "key": key,
-                "writer": self.label,
                 "checksum": payload_checksum(payload),
                 "payload": payload,
             }
@@ -187,12 +171,16 @@ class DirectoryBackend:
 
     def clear(self) -> int:
         """Drop every entry, lock file and quarantined file; returns
-        live entries removed."""
+        live entries removed.
+
+        A ``stats/`` directory, where older stores kept per-process
+        counter files, is removed too.
+        """
         removed = 0
         if not self.directory.exists():
             return removed
         for path in sorted(self.directory.glob("*/*.json")):
-            if path.parent.name in (QUARANTINE_DIR, STATS_DIR):
+            if path.parent.name == QUARANTINE_DIR:
                 continue
             path.unlink(missing_ok=True)
             removed += 1
@@ -200,6 +188,9 @@ class DirectoryBackend:
             path.unlink(missing_ok=True)
         for path in (self.directory / QUARANTINE_DIR).glob("*"):
             path.unlink(missing_ok=True)
+        legacy_stats = self.directory / "stats"
+        if legacy_stats.is_dir():
+            shutil.rmtree(legacy_stats, ignore_errors=True)
         return removed
 
     def entries(self) -> int:
@@ -209,7 +200,7 @@ class DirectoryBackend:
         return sum(
             1
             for path in self.directory.glob("*/*.json")
-            if path.parent.name not in (QUARANTINE_DIR, STATS_DIR)
+            if path.parent.name != QUARANTINE_DIR
         )
 
     # -- extras (directory-tier specific) ------------------------------
@@ -221,7 +212,7 @@ class DirectoryBackend:
         return sum(
             p.stat().st_size
             for p in self.directory.glob("*/*.json")
-            if p.parent.name not in (QUARANTINE_DIR, STATS_DIR)
+            if p.parent.name != QUARANTINE_DIR
         )
 
     def quarantined(self) -> int:
@@ -262,11 +253,3 @@ class DirectoryBackend:
         if self.on_quarantine is not None:
             self.on_quarantine()
         obs_events.emit("cache.quarantined", entry=path.name)
-
-
-def default_writer_label() -> str:
-    """A process-unique writer identity: pid plus a random token, so a
-    recycled pid (a respawned worker) still reads as a new writer."""
-    import uuid
-
-    return f"pid{os.getpid()}-{uuid.uuid4().hex[:6]}"

@@ -8,22 +8,14 @@ content fingerprint of their inputs (:mod:`repro.runtime.fingerprint`):
 
 - a bounded in-memory LRU serves the hot set without touching the
   store;
-- the shared tier, :class:`~repro.runtime.backend.DirectoryBackend`,
+- the on-disk tier, :class:`~repro.runtime.backend.DirectoryBackend`,
   persists entries across processes with the write-tmp/fsync/rename
   discipline of :mod:`repro.io.checkpoint`, SHA-256 payload checksums
   verified on read, quarantine for corrupt files, and advisory
   per-entry write locks -- crash-safe and multi-process-safe, pinned
   by the kill -9 torture test in ``tests/runtime/test_cache_torture.py``;
-- every stored entry records its **writer label**, so a hit on an
-  entry some *other* process wrote is counted separately
-  (``stats.cross_hits``) -- the signal that a shared tier is actually
-  being shared across processes;
-- counters are mirrored onto the process metrics registry *and*
-  periodically flushed to an atomic **stats sidecar** file inside the
-  store (``stats/<label>.json``), so ``repro cache stats`` can
-  aggregate hit/miss/store/eviction counts across every process that
-  ever touched the directory -- not just the one asking
-  (:func:`aggregate_sidecar_stats`).
+- counters are mirrored onto the process metrics registry, so
+  ``repro metrics`` reports them alongside every other family.
 
 Entries store the *serialized* solve result (via
 :mod:`repro.io.serialization`), not pickles: the on-disk format stays
@@ -32,10 +24,7 @@ inspectable, diffable and safe to load from an untrusted directory.
 
 from __future__ import annotations
 
-import atexit
-import json
 import os
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,9 +39,7 @@ from repro.runtime.backend import (
     ENTRY_KIND,
     ENTRY_VERSION,
     QUARANTINE_DIR,
-    STATS_DIR,
     DirectoryBackend,
-    default_writer_label,
     payload_checksum,
 )
 
@@ -62,9 +49,7 @@ __all__ = [
     "ENTRY_KIND",
     "ENTRY_VERSION",
     "QUARANTINE_DIR",
-    "STATS_DIR",
     "ScheduleCache",
-    "aggregate_sidecar_stats",
     "default_cache_dir",
     "payload_checksum",
     "payload_to_result",
@@ -75,13 +60,6 @@ PathLike = Union[str, Path]
 
 #: Environment variable overriding the default on-disk store location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Lookups between automatic sidecar flushes (stores always flush: they
-#: already paid for disk I/O, one more tiny file is noise).
-SIDECAR_FLUSH_EVERY = 64
-
-SIDECAR_KIND = "repro-cache-stats"
-SIDECAR_VERSION = 1
 
 
 def default_cache_dir() -> Path:
@@ -125,28 +103,12 @@ _STAT_MIRROR = {
         "Cache hits served from the directory store",
         {},
     ),
-    "cross_hits": (
-        "repro_cache_cross_hits_total",
-        "Backend hits on entries written by another process",
-        {},
-    ),
     "quarantined": (
         "repro_cache_quarantined_total",
         "Corrupt cache entries moved into quarantine",
         {},
     ),
 }
-
-#: The fields a stats sidecar carries (and aggregation sums).
-_SIDECAR_FIELDS = (
-    "hits",
-    "misses",
-    "stores",
-    "evictions",
-    "disk_hits",
-    "cross_hits",
-    "quarantined",
-)
 
 
 @dataclass
@@ -164,7 +126,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
     disk_hits: int = 0  # subset of ``hits`` served from the backend
-    cross_hits: int = 0  # subset of ``disk_hits`` written by another process
     quarantined: int = 0  # corrupt entries moved aside on read
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -193,7 +154,6 @@ class CacheStats:
             "stores": self.stores,
             "evictions": self.evictions,
             "disk_hits": self.disk_hits,
-            "cross_hits": self.cross_hits,
             "quarantined": self.quarantined,
             "hit_rate": self.hit_rate,
         }
@@ -259,17 +219,6 @@ def payload_to_result(
 # The cache proper
 # ----------------------------------------------------------------------
 
-#: Live caches with sidecars, flushed once more at interpreter exit so
-#: short CLI invocations never lose their final partial window.
-_SIDECAR_CACHES: "weakref.WeakSet[ScheduleCache]" = weakref.WeakSet()
-_ATEXIT_REGISTERED = False
-
-
-def _flush_all_sidecars() -> None:
-    for cache in list(_SIDECAR_CACHES):
-        cache.flush_stats_sidecar()
-
-
 class ScheduleCache:
     """Bounded LRU of solve payloads over an optional directory store.
 
@@ -282,38 +231,23 @@ class ScheduleCache:
         Persistent store location (builds a
         :class:`~repro.runtime.backend.DirectoryBackend`); ``None``
         keeps the cache purely in-memory.
-    writer_label:
-        Identity stamped on stored entries and on the stats sidecar;
-        defaults to a pid-unique token, so ``repro cache stats`` can
-        tell the processes sharing a store apart.
     """
 
     def __init__(
         self,
         capacity: int = 256,
         directory: Optional[PathLike] = None,
-        writer_label: Optional[str] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
-        self.writer_label = (
-            writer_label if writer_label is not None else default_writer_label()
-        )
         self.backend: Optional[DirectoryBackend] = None
         if directory is not None:
             self.backend = DirectoryBackend(
-                directory, label=self.writer_label, on_quarantine=self._count_quarantine
+                directory, on_quarantine=self._count_quarantine
             )
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._sidecar_marker = 0
-        if self._stats_dir() is not None:
-            global _ATEXIT_REGISTERED
-            _SIDECAR_CACHES.add(self)
-            if not _ATEXIT_REGISTERED:
-                atexit.register(_flush_all_sidecars)
-                _ATEXIT_REGISTERED = True
 
     @property
     def directory(self) -> Optional[Path]:
@@ -328,15 +262,12 @@ class ScheduleCache:
         if payload is not None:
             self._memory.move_to_end(key)
             self.stats.hits += 1
-            self._maybe_flush_sidecar()
             return payload
         payload = self._load_backend(key)
         if payload is not None:
             self._insert_memory(key, payload)
-            self._maybe_flush_sidecar()
             return payload
         self.stats.misses += 1
-        self._maybe_flush_sidecar()
         return None
 
     def peek(self, key: str) -> Optional[Dict[str, Any]]:
@@ -353,12 +284,10 @@ class ScheduleCache:
         if payload is not None:
             self._memory.move_to_end(key)
             self.stats.hits += 1
-            self._maybe_flush_sidecar()
             return payload
         payload = self._load_backend(key)
         if payload is not None:
             self._insert_memory(key, payload)
-            self._maybe_flush_sidecar()
             return payload
         return None
 
@@ -405,7 +334,6 @@ class ScheduleCache:
         self.stats.stores += 1
         if self.backend is not None:
             self.backend.store(key, payload)
-        self.flush_stats_sidecar()
 
     def put_result(self, key: str, result: SolveResult) -> None:
         self.put(key, result_to_payload(result))
@@ -415,17 +343,13 @@ class ScheduleCache:
     def clear(self) -> int:
         """Drop every entry (memory and backend); returns entries removed.
 
-        Lock files, quarantined entries and stats sidecars are swept
-        too, but only live entries count toward the return value.
+        Lock files and quarantined entries are swept too, but only live
+        entries count toward the return value.
         """
         removed = len(self._memory)
         self._memory.clear()
         if self.backend is not None:
             removed += self.backend.clear()
-        stats_dir = self._stats_dir()
-        if stats_dir is not None and stats_dir.exists():
-            for path in stats_dir.glob("*"):
-                path.unlink(missing_ok=True)
         return removed
 
     def __len__(self) -> int:
@@ -443,56 +367,6 @@ class ScheduleCache:
         """Corrupt entries currently sitting in the quarantine area."""
         return self.backend.quarantined() if self.backend is not None else 0
 
-    # -- cross-process stats sidecar -----------------------------------
-
-    def flush_stats_sidecar(self) -> bool:
-        """Write this instance's counters to ``stats/<label>.json``
-        atomically (tmp + rename); ``False`` when there is nowhere to
-        write or the write failed.  Safe to call at any time; the file
-        always holds lifetime totals, so re-flushing is idempotent."""
-        stats_dir = self._stats_dir()
-        if stats_dir is None:
-            return False
-        document = {
-            "kind": SIDECAR_KIND,
-            "version": SIDECAR_VERSION,
-            "label": self.writer_label,
-            "pid": os.getpid(),
-            "stats": {
-                field: getattr(self.stats, field)
-                for field in _SIDECAR_FIELDS
-            },
-        }
-        # ``.stats`` (not ``.json``) keeps sidecars invisible to every
-        # glob that enumerates cache *entries*.
-        path = stats_dir / f"{self.writer_label}.stats"
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            stats_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(json.dumps(document, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except OSError:
-            # Monitoring must never fail the work it monitors.
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return False
-        self._sidecar_marker = self.stats.lookups
-        return True
-
-    def _stats_dir(self) -> Optional[Path]:
-        directory = self.directory
-        if directory is None:
-            return None
-        return directory / STATS_DIR
-
-    def _maybe_flush_sidecar(self) -> None:
-        if self._stats_dir() is None:
-            return
-        if self.stats.lookups - self._sidecar_marker >= SIDECAR_FLUSH_EVERY:
-            self.flush_stats_sidecar()
-
     def _count_quarantine(self) -> None:
         self.stats.quarantined += 1
 
@@ -501,14 +375,11 @@ class ScheduleCache:
     def _load_backend(self, key: str) -> Optional[Dict[str, Any]]:
         if self.backend is None:
             return None
-        loaded = self.backend.load(key)
-        if loaded is None:
+        payload = self.backend.load(key)
+        if payload is None:
             return None
-        payload, writer = loaded
         self.stats.hits += 1
         self.stats.disk_hits += 1
-        if writer is not None and writer != self.writer_label:
-            self.stats.cross_hits += 1
         return payload
 
     def _insert_memory(self, key: str, payload: Dict[str, Any]) -> None:
@@ -517,46 +388,3 @@ class ScheduleCache:
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
             self.stats.evictions += 1
-
-
-# ----------------------------------------------------------------------
-# Cross-process aggregation
-# ----------------------------------------------------------------------
-
-
-def aggregate_sidecar_stats(directory: PathLike) -> Optional[Dict[str, Any]]:
-    """Sum every stats sidecar under ``directory``; ``None`` when the
-    store has no sidecars (nothing cross-process to report).
-
-    Each sidecar holds one writer's lifetime totals, and writer labels
-    are process-unique, so a plain sum over files is exact -- no
-    double counting, no deltas to reconcile.  Unparseable sidecars
-    (a writer killed mid-rename cannot exist thanks to the atomic
-    write, but foreign files can) are skipped, not fatal.
-    """
-    stats_dir = Path(directory) / STATS_DIR
-    if not stats_dir.is_dir():
-        return None
-    totals = {field: 0 for field in _SIDECAR_FIELDS}
-    writers = 0
-    for path in sorted(stats_dir.glob("*.stats")):
-        try:
-            document = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
-        if (
-            not isinstance(document, dict)
-            or document.get("kind") != SIDECAR_KIND
-            or not isinstance(document.get("stats"), dict)
-        ):
-            continue
-        writers += 1
-        for field in _SIDECAR_FIELDS:
-            value = document["stats"].get(field, 0)
-            if isinstance(value, int) and value >= 0:
-                totals[field] += value
-    if writers == 0:
-        return None
-    totals["writers"] = writers
-    totals["lookups"] = totals["hits"] + totals["misses"]
-    return totals

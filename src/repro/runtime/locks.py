@@ -36,12 +36,6 @@ except ImportError:  # pragma: no cover - platform dependent
         _BACKEND = "none"
 
 
-def lock_backend() -> str:
-    """Which locking primitive this platform provides
-    (``fcntl``/``msvcrt``/``none``)."""
-    return _BACKEND
-
-
 class FileLock:
     """An exclusive advisory lock on ``path`` (created if absent).
 

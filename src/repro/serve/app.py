@@ -169,10 +169,6 @@ class SolveService:
         if self.sessions is not None:
             self.sessions.close()
         self.batcher.close()
-        if self.cache is not None:
-            # Make this process's counters visible to `repro cache
-            # stats` aggregation even if the interpreter lives on.
-            self.cache.flush_stats_sidecar()
 
     def _start_sweeper(self) -> None:
         """TTL sweeps on a timer (idle sessions die without traffic)."""

@@ -146,7 +146,6 @@ class SolveBatcher:
         self._current_batch: List[_Pending] = []  # being solved right now
         self._in_flight = 0  # queued + currently being solved
         self._closed = False
-        self._last_progress = time.monotonic()
 
         registry = get_registry()
         self._m_queue_depth = registry.gauge(
@@ -264,11 +263,6 @@ class SolveBatcher:
         with self._lock:
             return self._in_flight
 
-    def last_progress_age(self) -> float:
-        """Seconds since the pipeline last completed work (healthz)."""
-        with self._lock:
-            return time.monotonic() - self._last_progress
-
     def close(self, timeout: float = 5.0) -> int:
         """Stop accepting work, drain what is queued, join the worker.
 
@@ -371,10 +365,6 @@ class SolveBatcher:
                 coalesced_indices.add(index)
                 self._m_coalesced.inc()
 
-        def on_task(record):
-            with self._lock:
-                self._last_progress = time.monotonic()
-
         try:
             # Chaos hook: "batcher.batch" faults (stalls via sleep,
             # injected errors) land inside the try so an injected
@@ -386,7 +376,6 @@ class SolveBatcher:
                 jobs=self.jobs,
                 cache=self.cache,
                 on_group=on_group,
-                on_task=on_task,
                 retry=self.retry,
                 deadline=deadline,
             )
@@ -395,8 +384,6 @@ class SolveBatcher:
                 pending.error = error
                 pending.done.set()
             return
-        with self._lock:
-            self._last_progress = time.monotonic()
         for pending, result, record in zip(batch, results, telemetry):
             pending.result = result
             pending.cache_status = record.cache

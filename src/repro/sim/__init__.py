@@ -36,7 +36,6 @@ from repro.sim.random_model import RandomChargingModel, effective_ratio
 from repro.sim.metrics import SlotRecord, UtilityAccumulator
 from repro.sim.failures import FailureInjectedPolicy, FailurePlan
 from repro.sim.health import HealthMonitor, HealthSnapshot, NodeHealth
-from repro.sim.trace_driven import DaylightGatedPolicy, TraceDrivenChargingModel
 from repro.sim.batch import BatchResult, run_batch
 
 __all__ = [
@@ -57,8 +56,6 @@ __all__ = [
     "HealthMonitor",
     "HealthSnapshot",
     "NodeHealth",
-    "TraceDrivenChargingModel",
-    "DaylightGatedPolicy",
     "BatchResult",
     "run_batch",
 ]

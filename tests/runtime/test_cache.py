@@ -11,6 +11,7 @@ from repro.runtime.cache import (
     CACHE_DIR_ENV,
     ScheduleCache,
     default_cache_dir,
+    payload_checksum,
     payload_to_result,
     result_to_payload,
 )
@@ -152,6 +153,58 @@ class TestDiskTier:
         cache.put_result(key, result)
         assert cache.disk_entries() == 1
         assert cache.disk_bytes() > 0
+
+    def test_store_with_writer_fields_and_stats_dir_reads_and_clears(self, tmp_path):
+        # Older stores stamped a "writer" field (outside the checksum)
+        # on every entry and kept per-process counter files in stats/.
+        problem, key, result = solved()
+        payload = result_to_payload(result)
+        path = tmp_path / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "repro-schedule-cache",
+                    "version": 2,
+                    "key": key,
+                    "writer": "pid1-abc",
+                    "checksum": payload_checksum(payload),
+                    "payload": payload,
+                }
+            )
+        )
+        stats_dir = tmp_path / "stats"
+        stats_dir.mkdir()
+        (stats_dir / "pid1-abc.stats").write_text("{}\n")
+
+        cache = ScheduleCache(directory=tmp_path)
+        assert cache.disk_entries() == 1
+        hit = cache.get_result(key, problem)
+        assert hit is not None
+        assert hit.schedule == result.schedule
+        assert cache.stats.disk_hits == 1
+
+        assert cache.clear() == 2  # the memory copy and the disk entry
+        assert not stats_dir.exists()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_shared_store_holds_only_entries_and_locks(self, tmp_path):
+        first = ScheduleCache(capacity=1, directory=tmp_path)
+        second = ScheduleCache(capacity=1, directory=tmp_path)
+        problem_a, key_a, result_a = solved(8)
+        problem_b, key_b, result_b = solved(9)
+        first.put_result(key_a, result_a)
+        second.put_result(key_b, result_b)
+        assert second.get_result(key_a, problem_a) is not None
+        assert first.peek_result(key_b, problem_b) is not None
+        assert second.get("0" * 64) is None
+        assert first.peek("0" * 64) is None
+
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert {p.suffix for p in files} == {".json", ".lock"}
+        assert {p.stem for p in files} == {key_a, key_b}
+        for path in files:
+            assert path.parent == tmp_path / path.stem[:2]
 
 
 class TestDefaultDirectory:

@@ -1,16 +1,15 @@
 """Multi-process cache hammer: N processes, one store, zero torn reads.
 
 A store shared by several processes is only trustworthy if concurrent
-writers re-writing the *same* keys never serve each other torn bytes and never
-lose counts.  This test runs several hammer subprocesses (see
+writers re-writing the *same* keys never serve each other torn bytes.
+This test runs several hammer subprocesses (see
 ``cache_hammer_worker.py``) against one directory and then audits the
-store and the accounting:
+store:
 
 - no process ever read a payload that mismatched its key's content;
 - every entry left on disk still verifies its checksum;
-- the stats sidecars agree exactly with what the processes reported;
-- cross-process hits actually happened (the tier was *shared*, not
-  just co-located).
+- processes actually read entries they never wrote (the store was
+  *shared*, not just co-located).
 """
 
 import json
@@ -19,7 +18,6 @@ import sys
 from pathlib import Path
 
 from repro.runtime.backend import payload_checksum
-from repro.runtime.cache import STATS_DIR, aggregate_sidecar_stats
 
 WORKER = Path(__file__).parent / "cache_hammer_worker.py"
 PROCESSES = 4
@@ -33,7 +31,6 @@ def run_hammers(cache_dir, processes=PROCESSES, iterations=ITERATIONS):
                 sys.executable,
                 str(WORKER),
                 str(cache_dir),
-                f"hammer-{index}",
                 str(iterations),
                 str(index),
             ],
@@ -69,23 +66,6 @@ class TestMultiprocessHammer:
                 document["payload"]
             ), f"torn entry survived at {path}"
 
-        # 3. Sidecar aggregation matches the processes' own reports
-        #    exactly (atexit flushed lifetime totals).
-        totals = aggregate_sidecar_stats(cache_dir)
-        assert totals is not None
-        assert totals["writers"] == PROCESSES
-        for field in ("hits", "misses", "stores", "disk_hits", "cross_hits"):
-            reported = sum(s["stats"][field] for s in summaries)
-            assert totals[field] == reported, field
-
-        # 4. The tier was genuinely shared: entries written by one
+        # 3. The store was genuinely shared: entries written by one
         #    process were served to another.
-        assert totals["cross_hits"] > 0
-
-    def test_sidecar_per_process_files_present(self, tmp_path):
-        cache_dir = tmp_path / "store"
-        run_hammers(cache_dir, processes=2, iterations=40)
-        names = sorted(
-            path.name for path in (cache_dir / STATS_DIR).glob("*.stats")
-        )
-        assert names == ["hammer-0.stats", "hammer-1.stats"]
+        assert sum(s["foreign_reads"] for s in summaries) > 0

@@ -573,24 +573,3 @@ class TestSessionReplay:
         assert main(["session", "replay", "--log", "/nonexistent.jsonl"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-
-class TestCacheStatsProcessesLine:
-    def test_aggregated_line_sums_every_writer(self, capsys, tmp_path):
-        from repro.runtime.cache import ScheduleCache
-
-        store = tmp_path / "shared"
-        writer = ScheduleCache(directory=store, writer_label="worker-0")
-        writer.put("k1", {"key": "k1"})
-        reader = ScheduleCache(directory=store, writer_label="worker-1")
-        assert reader.get("k1") is not None
-        writer.flush_stats_sidecar()
-        reader.flush_stats_sidecar()
-
-        assert main(["cache", "stats", "--dir", str(store)]) == 0
-        out = capsys.readouterr().out
-        assert "processes : 2 writers" in out
-        assert "1 cross-process hits" in out
-
-    def test_untouched_store_prints_no_processes_line(self, capsys, tmp_path):
-        assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
-        assert "processes" not in capsys.readouterr().out
