@@ -1,9 +1,9 @@
 """The on-disk tier of the schedule cache.
 
 :class:`~repro.runtime.cache.ScheduleCache` layers a process-local LRU
-over :class:`DirectoryBackend`: the crash-safe, file-locked,
-checksum-verified directory store (torn writes quarantined, contended
-writers skipped, reads lock-free).
+over :class:`DirectoryBackend`: the crash-safe, checksum-verified
+directory store (torn writes quarantined, every writer renaming its
+own tmp file into place, reads lock-free).
 
 Entries are version-2 documents: kind, version, key, the payload and
 its checksum.  Fields outside those (such as the ``writer`` label older
@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import tempfile
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from repro.faults.injector import maybe_hit
 from repro.obs import events as obs_events
 from repro.runtime.fingerprint import canonical_json
-from repro.runtime.locks import FileLock
 
 PathLike = Union[str, Path]
 
@@ -42,7 +42,7 @@ def payload_checksum(payload: Dict[str, Any]) -> str:
 
 
 class DirectoryBackend:
-    """The on-disk store: atomic writes, checksums, quarantine, locks.
+    """The on-disk store: atomic writes, checksums, quarantine.
 
     :meth:`load` is safe against concurrent :meth:`store` calls from
     other processes -- a reader sees the old entry or the new one,
@@ -111,9 +111,13 @@ class DirectoryBackend:
 
     def store(self, key: str, payload: Dict[str, Any]) -> bool:
         """Write ``key`` with the checkpoint discipline (tmp + fsync +
-        rename under a non-blocking per-entry lock); ``False`` when the
-        write was skipped (contended lock) or failed (full/read-only
-        store) -- never an exception."""
+        rename); ``False`` when the write failed (full/read-only store)
+        -- never an exception.
+
+        Concurrent writers of one key each rename their own complete
+        tmp file into place; the last rename wins, and any winner is
+        an equivalent entry.
+        """
         path = self._entry_path(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -133,31 +137,23 @@ class DirectoryBackend:
                 with path.open("w") as handle:
                     handle.write(data[: max(1, len(data) // 2)])
                 return True
-            # Advisory per-entry lock: writers of the *same* key are
-            # serialized; a contended write is skipped outright --
-            # whoever holds the lock is persisting an equivalent entry,
-            # and the caller's memory tier already has ours.
-            lock = FileLock(self._lock_path(key), blocking=False)
-            if not lock.acquire():
-                return False
+            # Same crash-safety discipline as io.checkpoint: readers
+            # observe either no entry or a complete one, never a torn
+            # write.  mkstemp gives every writer (process or thread) a
+            # tmp file of its own, so concurrent writers of one key
+            # cannot clobber each other's half-written bytes.
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=f"{path.name}.", suffix=".tmp"
+            )
             try:
-                # Same crash-safety discipline as io.checkpoint:
-                # readers observe either no entry or a complete one,
-                # never a torn write.  The tmp name includes the pid so
-                # concurrent workers writing the same key cannot
-                # clobber each other's half-written files.
-                tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-                try:
-                    with tmp.open("w") as handle:
-                        handle.write(data)
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                    os.replace(tmp, path)
-                except OSError:
-                    tmp.unlink(missing_ok=True)
-                    raise
-            finally:
-                lock.release()
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(data)
+                    handle.flush()
+                    os.fsync(handle.fileno())
+                os.replace(tmp, path)
+            except OSError:
+                Path(tmp).unlink(missing_ok=True)
+                raise
         except OSError:
             # A read-only or full store (or an injected write fault)
             # must not fail the solve that produced the result; the
@@ -170,11 +166,11 @@ class DirectoryBackend:
         self._entry_path(key).unlink(missing_ok=True)
 
     def clear(self) -> int:
-        """Drop every entry, lock file and quarantined file; returns
-        live entries removed.
+        """Drop every entry and quarantined file; returns live entries
+        removed.
 
-        A ``stats/`` directory, where older stores kept per-process
-        counter files, is removed too.
+        The ``<key>.lock`` files and the ``stats/`` directory that older
+        stores left behind are removed too.
         """
         removed = 0
         if not self.directory.exists():
@@ -223,9 +219,6 @@ class DirectoryBackend:
 
     def _entry_path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
-
-    def _lock_path(self, key: str) -> Path:
-        return self.directory / key[:2] / f"{key}.lock"
 
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry into the quarantine area (atomic).

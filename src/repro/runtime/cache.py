@@ -11,8 +11,8 @@ content fingerprint of their inputs (:mod:`repro.runtime.fingerprint`):
 - the on-disk tier, :class:`~repro.runtime.backend.DirectoryBackend`,
   persists entries across processes with the write-tmp/fsync/rename
   discipline of :mod:`repro.io.checkpoint`, SHA-256 payload checksums
-  verified on read, quarantine for corrupt files, and advisory
-  per-entry write locks -- crash-safe and multi-process-safe, pinned
+  verified on read, quarantine for corrupt files, and a private tmp
+  file per writer -- crash-safe and multi-process-safe, pinned
   by the kill -9 torture test in ``tests/runtime/test_cache_torture.py``;
 - counters are mirrored onto the process metrics registry, so
   ``repro metrics`` reports them alongside every other family.

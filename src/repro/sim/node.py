@@ -94,12 +94,17 @@ class BatteryView:
         return stored
 
     def set_level(self, level: float) -> None:
-        """Force the energy level (used by trace replay and tests)."""
+        """Force the energy level (used by trace replay and tests).
+
+        A level of ``-0.0`` is stored as ``+0.0`` (``x + 0.0`` changes no
+        other value): the branch-free ``NodeArrays.step_all`` cannot keep
+        an idle node's negative zero, so no level may start as one.
+        """
         if not 0 <= level <= self.capacity:
             raise ValueError(
                 f"battery level must be in [0, {self.capacity}], got {level}"
             )
-        self._arrays.level[self._i] = float(level)
+        self._arrays.level[self._i] = float(level) + 0.0
 
     def __repr__(self) -> str:
         return f"BatteryView(capacity={self.capacity}, level={self.level:.4g})"

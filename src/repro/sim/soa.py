@@ -7,17 +7,30 @@ an attribute walk per float, and force the engine to step 10^5 nodes
 through 10^5 interpreter-level calls per slot.  :class:`NodeArrays`
 keeps every piece of hot mutable state in flat numpy arrays instead --
 battery levels, state codes, per-slot drain/charge, refusal counters --
-so the engine's energy accounting becomes a handful of vectorized masks
-per slot, while :class:`~repro.sim.node.SimulatedNode` stays available
-as a *view* onto one array slot for the existing object API.
+so the engine's energy accounting becomes branch-free whole-array
+arithmetic per slot (no masked ufunc, no boolean-index write), while
+:class:`~repro.sim.node.SimulatedNode` stays available as a *view* onto
+one array slot for the existing object API.
 
-Bit-exactness: the vectorized :meth:`NodeArrays.step_all` performs the
-same IEEE-754 double ops in the same per-node order as the scalar
-``SimulatedNode.step`` (min / subtract / add / compare on float64 --
-numpy elementwise ops are bit-identical to Python scalar arithmetic on
-the same doubles), so a vectorized slot and an object-stepped slot
-produce identical levels, states and counters.  The differential suite
-in ``tests/sim/`` pins this.
+Bit-exactness: :meth:`NodeArrays.step_all` produces the same levels,
+states and counters as the scalar ``SimulatedNode.step`` (the
+differential tests in ``tests/sim/`` pin this):
+
+- *Float work.*  For every node that drains (or charges) this slot the
+  ops are the scalar step's own min / subtract / add / compare on
+  float64, in the same order; numpy elementwise ops are bit-identical to
+  Python scalar arithmetic on the same doubles.  The min and the delta
+  are computed for all nodes and the delta is multiplied by the bool
+  mask.  For a node outside the mask the delta is ``x * 0.0``, a zero
+  that leaves its level unchanged: levels are never ``-0.0`` (the node
+  API stores a forced ``-0.0`` as ``+0.0``, and no step makes one), so
+  subtracting or adding a zero of either sign is the identity.
+- *State codes.*  With READY=2, ACTIVE=0 and PASSIVE=1 the new code is
+  ``2 - 2*sensed - passive + depleted + refilled`` over int8 views of
+  bool masks.  ``sensed`` and ``passive`` are disjoint, ``depleted`` is
+  a subset of ``sensed`` and ``refilled`` of ``passive``, so each node
+  lands on exactly one of the codes the scalar if/elif would give it;
+  the transition counter takes the same disjoint masks' sum.
 """
 
 from __future__ import annotations
@@ -28,7 +41,9 @@ import numpy as np
 
 from repro.energy.states import IllegalTransition, NodeState
 
-#: int8 codes for :class:`NodeState` (array representation).
+#: int8 codes for :class:`NodeState` (array representation);
+#: :meth:`NodeArrays.step_all` computes new codes arithmetically from
+#: these values.
 STATE_CODES = {
     NodeState.ACTIVE: 0,
     NodeState.PASSIVE: 1,
@@ -82,45 +97,53 @@ class NodeArrays:
         """
         state = self.state
         level = self.level
-
-        ready = state == _READY
+        passive = state == _PASSIVE
         active = state == _ACTIVE
 
         # Command phase: READY + on -> ACTIVE; ACTIVE + off -> parked
-        # (READY, keeping charge); on while neither READY nor ACTIVE is
-        # a refusal.
-        to_activate = activate & ready
-        to_park = ~activate & active
-        refused_mask = activate & ~ready & ~active
-        state[to_activate] = _ACTIVE
-        state[to_park] = _READY
-        self.transitions[to_activate | to_park] += 1
-        self.refused[refused_mask] += 1
-        refused_count = int(refused_mask.sum())
+        # (READY, keeping charge); on while PASSIVE is a refusal.  The
+        # nodes that sense and drain this slot are the commanded ones
+        # not PASSIVE; no command produces PASSIVE, so ``passive`` stays
+        # the charging set (a node depleting this slot must not also
+        # charge this slot, as in the scalar step's if/elif).
+        not_passive = ~passive
+        was_active = activate & not_passive
+        refused = activate & passive
+        changed = (activate ^ active) & not_passive
 
-        # Post-command activity: these nodes sense and drain this slot.
-        was_active = state == _ACTIVE
-        # No command transition produces PASSIVE, so the charging set is
-        # exactly the nodes that entered the slot PASSIVE -- matching the
-        # scalar step's if/elif (a node depleting this slot must not
-        # also charge this slot).
-        passive = state == _PASSIVE
-
-        drained = np.minimum(self.drain_per_slot, level, where=was_active, out=np.zeros_like(level))
+        # np.minimum(a, b) returns b on a tie, Python's min(b, a) returns
+        # b too, so (level, drain) is the scalar min(drain, level).
+        drained = np.minimum(level, self.drain_per_slot)
+        drained *= was_active
         level -= drained
         depleted = was_active & (level <= 1e-9)
-        state[depleted] = _PASSIVE
-        self.transitions[depleted] += 1
-        self.completed[depleted] += 1
 
-        headroom = self.capacity - level
-        stored = np.minimum(self.charge_per_slot, headroom, where=passive, out=np.zeros_like(level))
+        stored = np.minimum(self.capacity - level, self.charge_per_slot)
+        stored *= passive
         level += stored
         refilled = passive & (
             level / self.capacity >= self.ready_threshold - 1e-12
         )
-        state[refilled] = _READY
-        self.transitions[refilled] += 1
+
+        # READY=2, ACTIVE=0, PASSIVE=1: a node that sensed drops to
+        # ACTIVE (-2), one that entered the slot PASSIVE stays there
+        # (-1); a depletion adds 1 back to a sensing node, a refill 1
+        # to a PASSIVE one.
+        np.add(depleted.view(np.int8), refilled.view(np.int8), out=state)
+        state -= passive.view(np.int8)
+        state -= was_active.view(np.int8)
+        state -= was_active.view(np.int8)
+        state += 2
+
+        # One transition per mask a node is in: activated or parked,
+        # emptied, refilled.  A READY node that activates and empties in
+        # one slot makes two, as in the scalar step.
+        self.transitions += (
+            changed.view(np.int8) + depleted.view(np.int8) + refilled.view(np.int8)
+        )
+        self.refused += refused
+        self.completed += depleted
+        refused_count = int(np.count_nonzero(refused))
 
         return was_active, refused_count
 

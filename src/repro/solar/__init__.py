@@ -27,11 +27,6 @@ from repro.solar.weather import (
 from repro.solar.panel import SolarPanel
 from repro.solar.harvest import HarvestEstimator, estimate_period_from_trace
 from repro.solar.trace import NodeTrace, TraceSample, generate_node_trace
-from repro.solar.forecast import (
-    expected_rho,
-    forecast_profile,
-    next_day_distribution,
-)
 
 __all__ = [
     "DiurnalIrradiance",
@@ -44,7 +39,4 @@ __all__ = [
     "TraceSample",
     "NodeTrace",
     "generate_node_trace",
-    "next_day_distribution",
-    "expected_rho",
-    "forecast_profile",
 ]

@@ -156,7 +156,8 @@ class TestDiskTier:
 
     def test_store_with_writer_fields_and_stats_dir_reads_and_clears(self, tmp_path):
         # Older stores stamped a "writer" field (outside the checksum)
-        # on every entry and kept per-process counter files in stats/.
+        # on every entry, left a <key>.lock beside it and kept
+        # per-process counter files in stats/.
         problem, key, result = solved()
         payload = result_to_payload(result)
         path = tmp_path / key[:2] / f"{key}.json"
@@ -173,6 +174,7 @@ class TestDiskTier:
                 }
             )
         )
+        path.with_suffix(".lock").touch()
         stats_dir = tmp_path / "stats"
         stats_dir.mkdir()
         (stats_dir / "pid1-abc.stats").write_text("{}\n")
@@ -201,7 +203,7 @@ class TestDiskTier:
         assert first.peek("0" * 64) is None
 
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert {p.suffix for p in files} == {".json", ".lock"}
+        assert {p.suffix for p in files} == {".json"}
         assert {p.stem for p in files} == {key_a, key_b}
         for path in files:
             assert path.parent == tmp_path / path.stem[:2]

@@ -506,13 +506,16 @@ class TestEventBytesGolden:
     and both go through the same JSON encoder; this pin also catches an
     encoder change that alters both sides alike.  The digest and length
     were recorded before the event sink learned to splice pre-encoded
-    id lists.
+    id lists.  Events carry active sets and utilities, not battery
+    levels, so the final ``NodeArrays`` bytes are pinned as well; that
+    digest was recorded before ``step_all`` became branch-free.
     """
 
     SENSORS = 2000
     SLOTS = 200
     LENGTH = 916_225
     SHA256 = "4d7157e33a31385624920bb002469d9dfbad3a48f01ba2a18def08bb00529c65"
+    ARRAYS_SHA256 = "7bf66bd35cddb655e69f38e8dfbbec677f42b6ce15423eabb1fd46874f397431"
 
     @pytest.fixture(scope="class")
     def planned_city(self):
@@ -537,3 +540,8 @@ class TestEventBytesGolden:
         _, _, stream = run_with_sink(engine, tmp_path / "city.jsonl", self.SLOTS)
         assert len(stream) == self.LENGTH
         assert hashlib.sha256(stream).hexdigest() == self.SHA256
+        arrays = network.arrays
+        digest = hashlib.sha256()
+        for name in ("level", "state", "transitions", "refused", "completed"):
+            digest.update(getattr(arrays, name).tobytes())
+        assert digest.hexdigest() == self.ARRAYS_SHA256
