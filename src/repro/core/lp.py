@@ -34,6 +34,11 @@ U_j(V(O_j)) \\cdot \\min(1, \\sum_i a_{ij} x_{i,t})``.
 
 The optimal LP value is therefore an **upper bound on the optimal
 schedule utility**, used as such by :mod:`repro.core.bounds`.
+
+scipy (HiGHS via :func:`scipy.optimize.linprog`) is imported by the
+first LP solve in a process, not by importing this module: loading it
+takes about 0.7 s, and the greedy, serving and simulation paths never
+use it.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from repro.core.problem import SchedulingProblem
 from repro.core.schedule import UnrolledSchedule
@@ -249,6 +252,9 @@ def lp_relaxation(problem: SchedulingProblem, periodic: bool = False) -> LpSolut
                     data.append(-full_value)
                 rhs.append(0.0)
                 row += 1
+
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     a_ub = csr_matrix((data, (rows, cols)), shape=(row, num_vars))
     bounds = [(0.0, 1.0)] * num_x + [

@@ -169,8 +169,10 @@ class DirectoryBackend:
         """Drop every entry and quarantined file; returns live entries
         removed.
 
-        The ``<key>.lock`` files and the ``stats/`` directory that older
-        stores left behind are removed too.
+        The ``<key>.json.*.tmp`` files a writer killed before its
+        ``os.replace`` leaves, and the ``<key>.lock`` files and the
+        ``stats/`` directory that older stores left behind, are removed
+        too.
         """
         removed = 0
         if not self.directory.exists():
@@ -180,8 +182,9 @@ class DirectoryBackend:
                 continue
             path.unlink(missing_ok=True)
             removed += 1
-        for path in self.directory.glob("*/*.lock"):
-            path.unlink(missing_ok=True)
+        for pattern in ("*/*.tmp", "*/*.lock"):
+            for path in self.directory.glob(pattern):
+                path.unlink(missing_ok=True)
         for path in (self.directory / QUARANTINE_DIR).glob("*"):
             path.unlink(missing_ok=True)
         legacy_stats = self.directory / "stats"

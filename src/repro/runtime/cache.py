@@ -343,8 +343,9 @@ class ScheduleCache:
     def clear(self) -> int:
         """Drop every entry (memory and backend); returns entries removed.
 
-        Lock files and quarantined entries are swept too, but only live
-        entries count toward the return value.
+        Lock files, tmp files of killed writers and quarantined entries
+        are swept too, but only live entries count toward the return
+        value.
         """
         removed = len(self._memory)
         self._memory.clear()

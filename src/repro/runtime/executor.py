@@ -69,7 +69,7 @@ SolveTask = Tuple[SchedulingProblem, str, Optional[int]]
 
 _BATCH_FALLBACK_HELP = (
     "Batched-routing fallbacks to the serial path by reason "
-    "(rho/family/method/singleton/forced-pool)"
+    "(rho/family/method/forced-pool)"
 )
 
 #: Dedup-group callback: ``(fingerprint-or-None, member indices,
@@ -299,8 +299,8 @@ def _plan_batches(
     (tests pinning parallel execution rely on it), which the batch
     kernels must respect just as the pool's own serial downgrade does.  Eligible greedy tasks are grouped by
     ``(family, slots_per_period)``; groups need at least two members to
-    beat a plain serial solve, so singletons fall back with their own
-    reason label.
+    beat a plain serial solve, so a lone member solves serially.  That
+    is by design, not a degradation, so it counts no fallback.
     """
     if not auto_fallback:
         if tasks:
@@ -325,7 +325,6 @@ def _plan_batches(
         if len(members) >= 2:
             batched.append(members)
         else:
-            _batch_fallback("singleton")
             serial.extend(members)
     serial.sort()
     return batched, serial

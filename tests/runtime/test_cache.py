@@ -190,6 +190,19 @@ class TestDiskTier:
         assert not stats_dir.exists()
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
+    def test_clear_sweeps_tmp_files_of_killed_writers(self, tmp_path):
+        # A writer killed between mkstemp and os.replace leaves
+        # <key>.json.<random>.tmp beside the entries; clear() removes it
+        # but counts only the live entry.
+        _problem, key, result = solved()
+        ScheduleCache(directory=tmp_path).put_result(key, result)
+        stray = tmp_path / key[:2] / f"{key}.json.k9x2qz.tmp"
+        stray.write_text('{"kind": "repro-sche')
+
+        assert ScheduleCache(directory=tmp_path).clear() == 1
+        assert not stray.exists()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
     def test_shared_store_holds_only_entries_and_locks(self, tmp_path):
         first = ScheduleCache(capacity=1, directory=tmp_path)
         second = ScheduleCache(capacity=1, directory=tmp_path)
