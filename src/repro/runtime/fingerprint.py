@@ -108,27 +108,17 @@ def solve_fingerprint(
     problem: SchedulingProblem,
     method: str = "greedy",
     rng: Union[int, None, Any] = None,
-    problem_document: Union[Dict[str, Any], None] = None,
 ) -> str:
     """SHA-256 hex key identifying a ``solve(problem, method, rng)`` call.
 
     Raises :class:`UncacheableError` when the inputs cannot be
     canonicalized (see module docstring); callers should then solve
     without the cache.
-
-    ``problem_document`` lets a long-lived caller (a session hashing
-    its state after every delta) pass a memoized
-    :func:`problem_to_dict` result instead of re-serializing the
-    instance each time; the key is identical either way.
     """
     document = {
         "kind": FINGERPRINT_KIND,
         "version": FINGERPRINT_VERSION,
-        "problem": (
-            problem_to_dict(problem)
-            if problem_document is None
-            else problem_document
-        ),
+        "problem": problem_to_dict(problem),
         "method": method,
         "seed": _normalize_seed(method, rng),
     }
@@ -140,7 +130,7 @@ def session_fingerprint(
     method: str = "greedy",
     rng: Union[int, None, Any] = None,
     failed: Any = (),
-    problem_document: Union[Dict[str, Any], None] = None,
+    problem_text: Optional[str] = None,
 ) -> str:
     """Key for a *session state*: a solve key plus the failed-sensor set.
 
@@ -149,27 +139,36 @@ def session_fingerprint(
     reuse the global schedule cache: the state's answer and the
     one-shot solve's answer are the same artifact.  Any failures join
     the document (sorted, so the set's construction history cannot
-    perturb the key).  ``problem_document`` is the same memoization
-    hook :func:`solve_fingerprint` takes.
+    perturb the key).
+
+    ``problem_text`` lets a long-lived caller (a session hashing its
+    state after every delta) pass a memoized
+    ``canonical_json(problem_to_dict(problem))`` instead of
+    re-serializing the instance each time; the key is identical either
+    way.
     """
+    if problem_text is None:
+        problem_text = canonical_json(problem_to_dict(problem))
+    # Splice the problem text into the canonical key document: every
+    # key before "problem" in sorted order goes in the head, every key
+    # after it in the tail, so the bytes equal canonical_json of the
+    # whole document.
+    head: Dict[str, Any] = {"kind": FINGERPRINT_KIND, "method": method}
     failed_list = sorted(failed)
-    if not failed_list:
-        return solve_fingerprint(
-            problem, method, rng, problem_document=problem_document
-        )
-    document = {
-        "kind": FINGERPRINT_KIND,
-        "version": FINGERPRINT_VERSION,
-        "problem": (
-            problem_to_dict(problem)
-            if problem_document is None
-            else problem_document
-        ),
-        "method": method,
+    if failed_list:
+        head["failed"] = failed_list
+    tail = {
         "seed": _normalize_seed(method, rng),
-        "failed": failed_list,
+        "version": FINGERPRINT_VERSION,
     }
-    return hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
+    text = (
+        canonical_json(head)[:-1]
+        + ',"problem":'
+        + problem_text
+        + ","
+        + canonical_json(tail)[1:]
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def chain_fingerprint(parent: str, delta_document: Any) -> str:

@@ -507,13 +507,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             with store.checkout(session_id) as session:
                 # Probe (pure) whether this delta needs the guarded
                 # cold path; warm repairs bypass the breaker entirely.
+                # The checkout holds the session, so the probe's effect
+                # is still current when the apply below reuses it.
                 try:
-                    structural = apply_delta(
+                    effect = apply_delta(
                         session.problem, session.failed, delta
-                    ).structural
+                    )
                 except DeltaError as error:
                     return self._error_response(400, error.code, error.message)
-                needs_cold = structural or session.consistency == "exact"
+                needs_cold = (
+                    effect.structural or session.consistency == "exact"
+                )
                 if needs_cold and not breaker.allow():
                     if not service.config.degrade:
                         return self._error_response(
@@ -524,7 +528,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                         )
                     try:
                         outcome = session.apply(
-                            delta, deadline=deadline, allow_cold=False
+                            delta,
+                            deadline=deadline,
+                            allow_cold=False,
+                            effect=effect,
                         )
                     except ColdResolveUnavailableError as error:
                         return self._error_response(
@@ -533,11 +540,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                     body = schemas.session_delta_response(session, outcome)
                     return 200, schemas.encode(body)
                 try:
-                    outcome = session.apply(delta, deadline=deadline)
-                except DeltaError as error:
-                    if needs_cold:
-                        breaker.record_neutral()
-                    return self._error_response(400, error.code, error.message)
+                    outcome = session.apply(
+                        delta, deadline=deadline, effect=effect
+                    )
                 except TimeoutError as error:
                     # DeadlineExceededError included: the session rolled
                     # back, so the client retries against unchanged state.

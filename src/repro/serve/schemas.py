@@ -441,15 +441,21 @@ def session_to_wire(session: "Session") -> Dict[str, Any]:
     }
 
 
-def session_result_to_wire(session: "Session") -> Dict[str, Any]:
+def session_result_to_wire(
+    session: "Session", period_utility: Optional[float] = None
+) -> Dict[str, Any]:
     """The deterministic schedule payload of a session answer.
 
     Utilities are *periodic*: the per-period value of the incumbent
     assignment, its per-slot average, and the ``num_periods``
     extrapolation -- the natural quantities for a schedule that is
-    live and mutable rather than unrolled once.
+    live and mutable rather than unrolled once.  ``period_utility`` is
+    the current value when the caller already has it (a delta's
+    outcome carries it); it is evaluated here otherwise.
     """
-    utility = session.period_utility()
+    utility = (
+        session.period_utility() if period_utility is None else period_utility
+    )
     slots = session.slots_per_period
     return {
         "period_utility": utility,
@@ -490,7 +496,7 @@ def session_delta_response(
             "moves": outcome.moves,
             "structural": outcome.structural,
         },
-        "result": session_result_to_wire(session),
+        "result": session_result_to_wire(session, outcome.period_utility),
         "degraded": outcome.degraded,
     }
     if outcome.degraded:

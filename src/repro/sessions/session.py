@@ -69,12 +69,13 @@ from repro.obs import events as obs_events
 from repro.obs.registry import get_registry
 from repro.runtime.fingerprint import (
     UncacheableError,
+    canonical_json,
     chain_fingerprint,
     problem_to_dict,
     session_fingerprint,
 )
 from repro.runtime.retry import remaining_budget
-from repro.sessions.deltas import Delta, DeltaError, apply_delta
+from repro.sessions.deltas import Delta, DeltaEffect, apply_delta
 from repro.utility.base import UtilityFunction
 from repro.utility.incremental import flush_ops, make_evaluator
 
@@ -133,12 +134,12 @@ def period_utility_of(
     the same floats in the same order -- the bit-for-bit anchor the
     differential suite (and :meth:`Session.full_resolve`) compares on.
     """
+    members: Dict[int, List[int]] = {}
+    for v, slot in assignment.items():
+        members.setdefault(slot, []).append(v)
     total = 0.0
     for t in range(slots):
-        members = frozenset(
-            sorted(v for v, slot in assignment.items() if slot == t)
-        )
-        total += utility.value(members)
+        total += utility.value(frozenset(sorted(members.get(t, ()))))
     return total
 
 
@@ -245,7 +246,7 @@ class Session:
         self._memo: Dict[str, Dict[int, int]] = {}
         self._memo_order: List[str] = []
         self._memo_capacity = 16
-        self._problem_document: Tuple[Any, Any] = (None, None)
+        self._problem_text: Tuple[Any, Any] = (None, None)
 
         self.lineage: List[str] = []
         self.state_fingerprint = self._fingerprint()
@@ -338,6 +339,7 @@ class Session:
         delta: Delta,
         deadline: Optional[float] = None,
         allow_cold: bool = True,
+        effect: Optional[DeltaEffect] = None,
     ) -> DeltaOutcome:
         """Apply one delta transactionally; returns the commit record.
 
@@ -349,6 +351,11 @@ class Session:
         falls back to a warm repair with ``degraded=True`` on the
         outcome -- mirroring the one-shot degraded contract.
 
+        ``effect`` is ``apply_delta(self.problem, self.failed, delta)``
+        when the caller already computed it against the current state
+        (the HTTP handler probes it to consult the breaker); it is
+        computed here otherwise.
+
         Any failure (validation, deadline, invariant breach, eviction
         racing the apply) rolls the session back to its pre-delta state
         before the exception propagates.
@@ -358,7 +365,8 @@ class Session:
         token = self._snapshot()
         start = time.perf_counter()
         try:
-            effect = apply_delta(self.problem, self.failed, delta)
+            if effect is None:
+                effect = apply_delta(self.problem, self.failed, delta)
             forced_warm = False
             needs_cold = effect.structural or self.consistency == "exact"
             if needs_cold and not allow_cold:
@@ -611,20 +619,21 @@ class Session:
 
     def _fingerprint(self) -> Optional[str]:
         # Serializing the instance dominates fingerprint cost on large
-        # problems, and only structural deltas replace self.problem --
-        # memoize the document per problem object so a failure stream
-        # hashes in O(document) instead of O(instance) per delta.
+        # problems, and only deltas that replace self.problem (utility
+        # edits, additions, structural changes) change it -- memoize
+        # the canonical text per problem object so a failure stream
+        # hashes the text without re-serializing the instance.
         try:
-            cached_problem, document = self._problem_document
+            cached_problem, text = self._problem_text
             if cached_problem is not self.problem:
-                document = problem_to_dict(self.problem)
-                self._problem_document = (self.problem, document)
+                text = canonical_json(problem_to_dict(self.problem))
+                self._problem_text = (self.problem, text)
             return session_fingerprint(
                 self.problem,
                 self.method,
                 self.seed,
                 self.failed,
-                problem_document=document,
+                problem_text=text,
             )
         except UncacheableError:
             return None

@@ -8,12 +8,14 @@ and the healthz session gauge.
 
 import pytest
 
+from repro.io.serialization import utility_to_dict
 from repro.serve.schemas import (
     SESSION_DELETED_KIND,
     SESSION_DELTA_RESPONSE_KIND,
     SESSION_RESPONSE_KIND,
     SESSION_SCHEDULE_RESPONSE_KIND,
 )
+from repro.utility.coverage_count import WeightedCoverageUtility
 
 
 def create_body(n=10, rho=3, p=0.4, **extra):
@@ -241,6 +243,89 @@ class TestDegradedContract:
         status, body, _ = client2.get(f"/v1/session/{session_id}/schedule")
         assert body["session"]["seq"] == 0
         assert body["session"]["slots_per_period"] == 4
+
+
+class TestDeltaEffectComputedOnce:
+    """The handler's breaker probe computes the delta's effect, and the
+    apply reuses it: one ``apply_delta`` per delta request."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.serve.handlers as handlers
+        import repro.sessions.session as session_module
+        from repro.sessions.deltas import apply_delta
+
+        seen = []
+
+        def counting(problem, failed, delta):
+            seen.append(delta.kind)
+            return apply_delta(problem, failed, delta)
+
+        monkeypatch.setattr(handlers, "apply_delta", counting)
+        monkeypatch.setattr(session_module, "apply_delta", counting)
+        return seen
+
+    @staticmethod
+    def post_once(client, calls, session_id, delta):
+        before = len(calls)
+        status, body, _ = client.post(
+            f"/v1/session/{session_id}/delta", {"delta": delta}
+        )
+        assert calls[before:] == [delta["kind"]]
+        return status, body
+
+    def test_every_kind(self, make_service, calls):
+        _, client = make_service()
+        session_id = create_session(client)["session"]["id"]
+        for delta in (
+            {"kind": "sensor-failed", "sensor": 3},
+            {"kind": "sensor-recovered", "sensor": 3},
+            {"kind": "weight-change", "value": 0.6},
+            {"kind": "sensor-added"},
+            {"kind": "rho-change", "rho": 4},
+            {"kind": "harvest-shift", "factor": 0.5},
+        ):
+            status, body = self.post_once(client, calls, session_id, delta)
+            assert status == 200, body
+        utility = utility_to_dict(
+            WeightedCoverageUtility(
+                {v: {v % 4, (v + 1) % 4} for v in range(8)},
+                element_weights={e: 1.0 + e for e in range(4)},
+            )
+        )
+        status, body, _ = client.post(
+            "/v1/session",
+            {"problem": {"num_sensors": 8, "rho": 3, "utility": utility}},
+        )
+        assert status == 200, body
+        status, body = self.post_once(
+            client,
+            calls,
+            body["session"]["id"],
+            {"kind": "target-weight-change", "element": 2, "value": 5.0},
+        )
+        assert status == 200, body
+        # A delta the probe rejects is not applied a second time.
+        status, body = self.post_once(
+            client, calls, session_id, {"kind": "sensor-failed", "sensor": 99}
+        )
+        assert status == 400
+
+    def test_breaker_open(self, make_service, calls):
+        service, client = make_service()
+        exact_id = create_session(client, consistency="exact")["session"][
+            "id"
+        ]
+        warm_id = create_session(client)["session"]["id"]
+        service.breaker.allow = lambda: False
+        status, body = self.post_once(
+            client, calls, exact_id, {"kind": "sensor-failed", "sensor": 3}
+        )
+        assert status == 200 and body["degraded"] is True
+        status, body = self.post_once(
+            client, calls, warm_id, {"kind": "rho-change", "rho": 4}
+        )
+        assert status == 503
 
 
 class TestHealthz:

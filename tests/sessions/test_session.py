@@ -4,6 +4,8 @@ memoization, checkpointing, and the full-resolve escape hatch."""
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.problem import SchedulingProblem
 from repro.core.repair import greedy_repair
@@ -18,7 +20,11 @@ from repro.sessions import (
     delta_from_dict,
     period_utility_of,
 )
-from repro.utility.detection import HomogeneousDetectionUtility
+from repro.utility.coverage_count import WeightedCoverageUtility
+from repro.utility.detection import (
+    DetectionUtility,
+    HomogeneousDetectionUtility,
+)
 
 
 def make_problem(n=12, rho=3.0, p=0.4):
@@ -289,3 +295,55 @@ class TestDeltaDataclass:
         assert isinstance(delta, Delta)
         with pytest.raises(AttributeError):
             delta.sensor = 2
+
+
+def per_slot_period_utility(assignment, utility, slots):
+    """Reference twin of period_utility_of: one scan of the assignment
+    per slot."""
+    total = 0.0
+    for t in range(slots):
+        members = frozenset(
+            sorted(v for v, slot in assignment.items() if slot == t)
+        )
+        total += utility.value(members)
+    return total
+
+
+@st.composite
+def utilities_and_assignments(draw):
+    n = draw(st.integers(min_value=0, max_value=24))
+    if draw(st.booleans()):
+        utility = DetectionUtility(
+            {
+                v: draw(st.floats(min_value=0.0, max_value=1.0))
+                for v in range(n)
+            }
+        )
+    else:
+        utility = WeightedCoverageUtility(
+            {
+                v: draw(st.sets(st.integers(0, 9), min_size=1, max_size=4))
+                for v in range(n)
+            },
+            element_weights={
+                e: draw(st.floats(min_value=0.0, max_value=10.0))
+                for e in range(10)
+            },
+        )
+    slots = draw(st.integers(min_value=1, max_value=6))
+    # Few sensors over many slots leaves slots empty.
+    live = draw(st.lists(st.integers(0, max(n - 1, 0)), unique=True))
+    assignment = {
+        v: draw(st.integers(0, slots - 1)) for v in live if v < n
+    }
+    return utility, assignment, slots
+
+
+class TestPeriodUtility:
+    @settings(max_examples=200, deadline=None)
+    @given(utilities_and_assignments())
+    def test_one_pass_equals_per_slot_reference_bit_for_bit(self, case):
+        utility, assignment, slots = case
+        fast = period_utility_of(assignment, utility, slots)
+        reference = per_slot_period_utility(assignment, utility, slots)
+        assert fast.hex() == reference.hex()
