@@ -9,9 +9,11 @@ fast path:
   view over a group of problems (padded sensor x slot masks and real
   sensor counts), built once per batch;
 - :mod:`~repro.batched.kernels` -- one vectorized marginal-gain kernel
-  per utility family (detection, homogeneous detection, logsum,
-  weighted coverage, area, target-system) that evaluates whole gain
-  columns for every instance of the batch in one numpy pass;
+  per family that pays for itself (detection, homogeneous detection,
+  logsum, target-system), evaluating whole gain columns for every
+  instance of the batch in one numpy pass.  Weighted coverage and area
+  have no kernel: a serial solve beat their masked-sum kernels, so they
+  solve serially by design;
 - :func:`~repro.batched.greedy.batched_greedy` -- a lockstep driver
   advancing all instances one placement per round, with per-instance
   termination masks;
@@ -19,12 +21,11 @@ fast path:
   entry point, returning :class:`~repro.core.solver.SolveResult`
   objects **bit-for-bit identical** to a serial ``solve(...)`` loop.
 
-Bit-exactness is the contract, not an aspiration.  Four of the six
-kernels hold no family state of their own: they drive one serial
-incremental evaluator per ``(instance, slot)`` and vectorize only the
-gain read over its cached scalar, so the running state is the serial
-path's by construction.  Coverage and area keep integer cover counters,
-which are exact.  The gain expressions reduce in the serial order (the
+Bit-exactness is the contract, not an aspiration.  The kernels hold no
+family state of their own: they drive one serial incremental evaluator
+per ``(instance, slot)`` and vectorize only the gain read over its
+cached scalar, so the running state is the serial path's by
+construction.  The gain expressions reduce in the serial order (the
 masked-cumsum identity ``x + 0.0 == x``) and avoid numpy's
 transcendental ufuncs -- ``np.log1p``/``np.expm1`` are not bit-equal to
 the ``math`` module's libm calls on every platform.

@@ -6,10 +6,11 @@ The batched kernels (:mod:`repro.batched.kernels`) hang their per-family
 payload arrays off this structure; the batch itself owns only the
 generic shape data (masks, real sensor counts).
 
-Eligibility is decided per instance by :func:`batchable` (supported
-family, rho >= 1) and per group by the :class:`InstanceBatch`
-constructor (same ``T``, same family).  Anything else falls back to the
-serial path -- batching is an optimization, never an eligibility test.
+Eligibility is decided per instance by :func:`family_of` (the family
+has a batch kernel) and :func:`batchable` (rho >= 1), and per group by
+the :class:`InstanceBatch` constructor (same ``T``, same family).
+Anything else takes the serial path -- batching is an optimization,
+never an eligibility test.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.batched.kernels import _KERNELS
 from repro.core.problem import SchedulingProblem
 from repro.utility.incremental import detection_targets, evaluator_class
 
@@ -30,13 +32,15 @@ def family_of(problem: SchedulingProblem) -> Optional[str]:
     """The batch-kernel family of the problem's utility, or ``None``.
 
     The family is the tag of the serial evaluator
-    :func:`~repro.utility.incremental.evaluator_class` dispatches to;
-    utilities without one, and target systems outside
-    :func:`~repro.utility.incremental.detection_targets`, have no kernel.
+    :func:`~repro.utility.incremental.evaluator_class` dispatches to.
+    Families without a kernel (``recompute``, ``coverage``, ``area``)
+    and target systems outside
+    :func:`~repro.utility.incremental.detection_targets` answer
+    ``None``: they solve serially by design, which is no fallback.
     """
     fn = problem.utility
     family = evaluator_class(fn).family
-    if family == "recompute":
+    if family not in _KERNELS:
         return None
     if family == "target-system" and not detection_targets(fn):
         return None
@@ -44,16 +48,15 @@ def family_of(problem: SchedulingProblem) -> Optional[str]:
 
 
 def batchable(problem: SchedulingProblem) -> Tuple[bool, str]:
-    """Can this instance ride a batch?  Returns ``(ok, reason)``.
+    """Can this instance's shape ride a batch?  Returns ``(ok, reason)``.
 
-    ``reason`` names the disqualifier (``"rho"``, ``"family"``) and is
-    the label the executor's ``repro_batched_fallback_total`` counter
-    carries; it is ``"ok"`` for eligible instances.
+    ``reason`` names the disqualifier (``"rho"``) and is the label the
+    executor's ``repro_batched_fallback_total`` counter carries; it is
+    ``"ok"`` for eligible instances.  Whether the family has a kernel is
+    :func:`family_of`'s answer, not a fallback reason.
     """
     if not problem.is_sparse_regime:
         return False, "rho"
-    if family_of(problem) is None:
-        return False, "family"
     return True, "ok"
 
 
@@ -84,12 +87,17 @@ class InstanceBatch:
             raise BatchError("cannot batch zero problems")
         families = []
         for index, problem in enumerate(problems):
+            family = family_of(problem)
+            if family is None:
+                raise BatchError(
+                    f"problem {index} has no batch kernel for its utility"
+                )
             ok, reason = batchable(problem)
             if not ok:
                 raise BatchError(
                     f"problem {index} is not batchable (reason: {reason})"
                 )
-            families.append(family_of(problem))
+            families.append(family)
         if len(set(families)) != 1:
             raise BatchError(
                 f"mixed utility families in one batch: {sorted(set(families))}"

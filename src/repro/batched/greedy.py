@@ -7,8 +7,8 @@ scan maximizes ``(gain, -sensor, -slot)``, which equals the *first*
 occurrence of the maximum over the row-major ``(sensor, slot)``
 flattening -- precisely what ``np.argmax`` returns.  The driver keeps
 the kernel's raw gain values untouched and applies the candidacy mask
-(padding + already-placed sensors) as ``-inf`` at selection time, so a
-selected pair's recorded gain is the exact float the serial evaluator
+(padding + already-placed sensors) as ``-inf`` at selection time, so
+every gain an argmax compares is the exact float the serial evaluator
 would have produced.
 
 Per round the driver issues **one** vectorized ``columns`` pass for all
@@ -30,13 +30,13 @@ result equality -- the property the differential suite in
 from __future__ import annotations
 
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.batched.batch import InstanceBatch
 from repro.batched.kernels import BatchKernel, make_kernel
-from repro.core.greedy import _EVALS_HELP, GreedyStep, GreedyTrace
+from repro.core.greedy import _EVALS_HELP
 from repro.core.problem import SchedulingProblem
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.core.solver import SolveResult
@@ -61,19 +61,15 @@ def _mask_gains(raw: np.ndarray, alive: np.ndarray) -> np.ndarray:
     return np.where(alive[:, :, None], raw, -np.inf)
 
 
-def _drive(
-    batch: InstanceBatch, kernel: BatchKernel
-) -> Tuple[List[dict], List[List[GreedyStep]]]:
-    """Run the lockstep rounds; returns per-instance assignments/steps."""
-    N, n_max, T = batch.size, batch.n_max, batch.slots_per_period
+def _drive(batch: InstanceBatch, kernel: BatchKernel) -> List[dict]:
+    """Run the lockstep rounds; returns per-instance assignments."""
+    N, T = batch.size, batch.slots_per_period
     n_real = batch.n_real
     raw = kernel.initial_columns()  # (N, n_max, T) raw gain values
     alive = batch.sensor_mask.copy()  # real & unplaced candidacy mask
     placed = np.zeros(N, dtype=np.intp)
     finished = placed >= n_real  # n == 0 members finish immediately
     assignments: List[dict] = [{} for _ in range(N)]
-    steps: List[List[GreedyStep]] = [[] for _ in range(N)]
-    totals = [0.0] * N
 
     while not bool(finished.all()):
         running = np.flatnonzero(~finished)
@@ -85,21 +81,9 @@ def _drive(
         for b, i in enumerate(running.tolist()):
             sensor = int(sensors[b])
             slot = int(slots[b])
-            gain = float(raw[i, sensor, slot])
-            order = len(steps[i])
             kernel.apply(i, sensor, slot)
             alive[i, sensor] = False
             assignments[i][sensor] = slot
-            totals[i] += gain
-            steps[i].append(
-                GreedyStep(
-                    order=order,
-                    sensor=sensor,
-                    slot=slot,
-                    gain=gain,
-                    total_after=totals[i],
-                )
-            )
             placed[i] += 1
             if placed[i] >= n_real[i]:
                 finished[i] = True
@@ -109,43 +93,30 @@ def _drive(
             cols = kernel.columns(pairs)
             for b, (i, slot) in enumerate(pairs):
                 raw[i, :, slot] = cols[b]
-    return assignments, steps
+    return assignments
 
 
-def batched_greedy(
-    batch: InstanceBatch,
-    traces: Optional[List[GreedyTrace]] = None,
-) -> List[PeriodicSchedule]:
+def batched_greedy(batch: InstanceBatch) -> List[PeriodicSchedule]:
     """Run Algorithm 1 over every batch member in lockstep.
 
     Returns one :class:`PeriodicSchedule` per member, identical
     (selection for selection, bit for bit) to serial
-    :func:`~repro.core.greedy.greedy_schedule` calls.  ``traces``, when
-    given, must have one :class:`GreedyTrace` per member and is filled
-    with the per-instance placement histories.
+    :func:`~repro.core.greedy.greedy_schedule` calls.
     """
-    if traces is not None and len(traces) != batch.size:
-        raise ValueError(
-            f"{len(traces)} traces for {batch.size} batch members"
-        )
     kernel = make_kernel(batch)
     with tracing.span(
         "batched_greedy", family=batch.family, instances=batch.size
     ):
-        assignments, steps = _drive(batch, kernel)
+        assignments = _drive(batch, kernel)
     _record_metrics(batch, kernel)
-    schedules = []
-    for i in range(batch.size):
-        if traces is not None:
-            traces[i].steps = steps[i]
-        schedules.append(
-            PeriodicSchedule(
-                slots_per_period=batch.slots_per_period,
-                assignment=assignments[i],
-                mode=ScheduleMode.ACTIVE_SLOT,
-            )
+    return [
+        PeriodicSchedule(
+            slots_per_period=batch.slots_per_period,
+            assignment=assignment,
+            mode=ScheduleMode.ACTIVE_SLOT,
         )
-    return schedules
+        for assignment in assignments
+    ]
 
 
 def _record_metrics(batch: InstanceBatch, kernel: BatchKernel) -> None:
@@ -169,10 +140,7 @@ def _record_metrics(batch: InstanceBatch, kernel: BatchKernel) -> None:
     ).inc(kernel.entries)
 
 
-def solve_batch(
-    problems: Sequence[SchedulingProblem],
-    method: str = "greedy",
-) -> List[SolveResult]:
+def solve_batch(problems: Sequence[SchedulingProblem]) -> List[SolveResult]:
     """Solve many instances through one batched greedy run.
 
     The per-instance results are bit-for-bit identical to
@@ -184,13 +152,9 @@ def solve_batch(
     batch wall time).
 
     Raises :class:`~repro.batched.batch.BatchError` for ineligible or
-    mixed-shape inputs and ``ValueError`` for non-greedy methods -- the
-    executor checks eligibility first and falls back to the serial path.
+    mixed-shape inputs -- the executor checks eligibility first and
+    routes everything else to the serial path.
     """
-    if method != "greedy":
-        raise ValueError(
-            f"solve_batch only supports method='greedy', got {method!r}"
-        )
     batch = InstanceBatch(problems)
     start = time.perf_counter()
     schedules = batched_greedy(batch)
@@ -202,14 +166,14 @@ def solve_batch(
         periodic = schedules[i]
         schedule = periodic.unroll(problem.num_periods)
         registry.counter(
-            "repro_solve_total", "Completed solves by method", method=method
+            "repro_solve_total", "Completed solves by method", method="greedy"
         ).inc()
         registry.histogram(
-            "repro_solve_seconds", "Solve wall time by method", method=method
+            "repro_solve_seconds", "Solve wall time by method", method="greedy"
         ).observe(share)
         obs_events.emit(
             "solve",
-            method=method,
+            method="greedy",
             sensors=problem.num_sensors,
             seconds=share,
         )
@@ -218,7 +182,7 @@ def solve_batch(
         average = total / schedule.total_slots if schedule.total_slots else 0.0
         results.append(
             SolveResult(
-                method=method,
+                method="greedy",
                 problem=problem,
                 schedule=schedule,
                 periodic=periodic,

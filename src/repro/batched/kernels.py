@@ -11,9 +11,14 @@ every sensor of every requested instance in one numpy pass:
 - :meth:`BatchKernel.columns` -- fresh gain columns for a batch of
   ``(instance, slot)`` pairs after their slots mutated.
 
-The detection, homogeneous-detection, log-sum and target-system kernels
-keep no family state of their own.  They hold one serial evaluator per
-``(instance, slot)``, built by
+Families without a kernel here (weighted coverage, area, the
+``recompute`` fallback and target systems outside
+:func:`~repro.utility.incremental.detection_targets`) solve serially by
+design: :func:`~repro.batched.batch.family_of` answers ``None`` for
+them.
+
+No kernel keeps family state of its own.  Each holds one serial
+evaluator per ``(instance, slot)``, built by
 :func:`~repro.utility.incremental.make_evaluator`;
 :meth:`BatchKernel.apply` is that evaluator's
 ``add``, and a column reads its cached scalar: the miss product
@@ -36,9 +41,6 @@ the serial bits by two further rules:
    add stays numpy) and the homogeneous-detection kernel calls
    ``value_of_count`` itself once per column.
 
-Coverage and area keep integer per-element cover counters instead:
-counts carry no rounding history, so ``+= 1`` per placement is exact.
-
 Padded entries (sensor ids beyond an instance's real count) always
 produce an exact ``0.0`` gain here; the greedy driver additionally
 masks them (and placed sensors) to ``-inf`` before every argmax, so
@@ -50,12 +52,22 @@ this layer to prove the differential suite notices.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.batched.batch import InstanceBatch
 from repro.utility.incremental import make_evaluator
+
+if TYPE_CHECKING:
+    from repro.batched.batch import InstanceBatch
 
 #: Per-instance ``{sensor: [(index, weight), ...]}`` term lists.
 Terms = Sequence[Mapping[int, Sequence[Tuple[int, float]]]]
@@ -89,7 +101,7 @@ def _sequential_sums(terms: np.ndarray) -> np.ndarray:
 
 
 class BatchKernel:
-    """Shared bookkeeping for all family kernels."""
+    """A kernel over one serial evaluator per ``(instance, slot)``."""
 
     family = "?"
 
@@ -102,10 +114,14 @@ class BatchKernel:
         self.invocations = 0
         #: Gain entries produced across all passes (eval accounting).
         self.entries = 0
+        self._evals = [
+            [make_evaluator(problem.utility) for _ in range(self.T)]
+            for problem in batch.problems
+        ]
 
     def apply(self, index: int, sensor: int, slot: int) -> None:
         """Record a placement (the serial evaluator's ``add``)."""
-        raise NotImplementedError
+        self._evals[index][slot].add(sensor)
 
     def initial_columns(self) -> np.ndarray:
         """Empty-set gains, shape ``(N, n_max, T)``.
@@ -132,20 +148,6 @@ class BatchKernel:
     def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
         raise NotImplementedError
 
-
-class _EvaluatorKernel(BatchKernel):
-    """A kernel over one serial evaluator per ``(instance, slot)``."""
-
-    def __init__(self, batch: InstanceBatch):
-        super().__init__(batch)
-        self._evals = [
-            [make_evaluator(problem.utility) for _ in range(self.T)]
-            for problem in batch.problems
-        ]
-
-    def apply(self, index: int, sensor: int, slot: int) -> None:
-        self._evals[index][slot].add(sensor)
-
     def _per_sensor(
         self, table: Callable[..., Mapping[int, float]]
     ) -> np.ndarray:
@@ -162,7 +164,7 @@ class _EvaluatorKernel(BatchKernel):
         return out
 
 
-class DetectionKernel(_EvaluatorKernel):
+class DetectionKernel(BatchKernel):
     """``gain = p_v * miss(S_t)`` over each slot evaluator's ``_miss``."""
 
     family = "detection"
@@ -179,7 +181,7 @@ class DetectionKernel(_EvaluatorKernel):
         return self._p[rows] * miss[:, None]
 
 
-class HomogeneousDetectionKernel(_EvaluatorKernel):
+class HomogeneousDetectionKernel(BatchKernel):
     """``value_of_count(k + 1) - value_of_count(k)`` over each slot
     evaluator's count ``_k``, masked to the ground set.
 
@@ -206,7 +208,7 @@ class HomogeneousDetectionKernel(_EvaluatorKernel):
         return self._in_ground[rows] * gains[:, None]
 
 
-class LogSumKernel(_EvaluatorKernel):
+class LogSumKernel(BatchKernel):
     """``log1p(total + w) - log1p(total)`` over each slot evaluator's
     ``_total``, with libm transcendentals.
 
@@ -249,7 +251,7 @@ class LogSumKernel(_EvaluatorKernel):
         return out
 
 
-class TargetSystemKernel(_EvaluatorKernel):
+class TargetSystemKernel(BatchKernel):
     """Eq. 1 sums of per-target detection gains over each slot
     evaluator's per-target miss vector ``_miss_vec``.
 
@@ -289,106 +291,10 @@ class TargetSystemKernel(_EvaluatorKernel):
         )
 
 
-class _MaskedSumKernel(BatchKernel):
-    """Shared machinery for coverage/area: integer cover counters plus a
-    masked sequential sum over each sensor's element list.
-
-    Subclasses pass, per instance, the per-sensor ``(element, weight)``
-    term lists in the exact iteration order the serial ``marginal``
-    generator uses, and the dense element count.
-    """
-
-    def __init__(
-        self, batch: InstanceBatch, terms: Terms, num_elements: List[int]
-    ):
-        super().__init__(batch)
-        self._idx, self._w = _stack_terms(terms, self.n_max)
-        self._add_idx: List[Dict[int, np.ndarray]] = [
-            {
-                s: np.array([e for e, _ in row], dtype=np.intp)
-                for s, row in rows.items()
-            }
-            for rows in terms
-        ]
-        # Dense per-(instance, slot) cover counts, padded to the widest
-        # instance.  Counts are integers: arithmetic maintenance is
-        # exact (the same argument as CoverageEvaluator/AreaEvaluator).
-        self._counts = np.zeros(
-            (self.N, self.T, max(num_elements + [1])), dtype=np.int64
-        )
-
-    def apply(self, index: int, sensor: int, slot: int) -> None:
-        idx = self._add_idx[index].get(sensor)
-        if idx is not None and idx.size:
-            # Each sensor's element list has no duplicates (it came
-            # from a frozenset), so a fancy-indexed += is exact.
-            self._counts[index, slot, idx] += 1
-
-    def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
-        rows = np.array([i for i, _ in pairs], dtype=np.intp)
-        counts = self._counts[rows, [t for _, t in pairs]]  # (B, e_max)
-        b_index = np.arange(len(pairs), dtype=np.intp)[:, None, None]
-        uncovered = counts[b_index, self._idx[rows]] == 0
-        return _sequential_sums(self._w[rows] * uncovered)
-
-
-class CoverageKernel(_MaskedSumKernel):
-    """Weighted set coverage: per-element cover counters, gains summed in
-    each sensor's ``covers[v]`` frozenset iteration order."""
-
-    family = "coverage"
-
-    def __init__(self, batch: InstanceBatch):
-        terms = []
-        num_elements = []
-        for problem in batch.problems:
-            fn = problem.utility
-            dense = {e: j for j, e in enumerate(sorted(fn._weights))}
-            # Snapshot each frozenset's iteration order once; it is
-            # stable per object, so the cumsum reduction replays the
-            # serial generator's order every query.
-            terms.append(
-                {
-                    s: [(dense[e], fn._weights[e]) for e in fn._covers[s]]
-                    for s in range(problem.num_sensors)
-                    if s in fn._covers
-                }
-            )
-            num_elements.append(len(dense))
-        super().__init__(batch, terms, num_elements)
-
-
-class AreaKernel(_MaskedSumKernel):
-    """Area coverage: identical machinery over subregion cells, with
-    weights ``subregions[cid].weighted_area`` in ``cells_of_sensor``
-    tuple order."""
-
-    family = "area"
-
-    def __init__(self, batch: InstanceBatch):
-        terms = []
-        num_elements = []
-        for problem in batch.problems:
-            fn = problem.utility
-            terms.append(
-                {
-                    s: [
-                        (cid, fn._subregions[cid].weighted_area)
-                        for cid in fn._cells_of_sensor.get(s, ())
-                    ]
-                    for s in range(problem.num_sensors)
-                }
-            )
-            num_elements.append(len(fn._subregions))
-        super().__init__(batch, terms, num_elements)
-
-
 _KERNELS: Dict[str, type] = {
     "detection": DetectionKernel,
     "homogeneous-detection": HomogeneousDetectionKernel,
     "logsum": LogSumKernel,
-    "coverage": CoverageKernel,
-    "area": AreaKernel,
     "target-system": TargetSystemKernel,
 }
 

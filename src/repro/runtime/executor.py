@@ -69,7 +69,7 @@ SolveTask = Tuple[SchedulingProblem, str, Optional[int]]
 
 _BATCH_FALLBACK_HELP = (
     "Batched-routing fallbacks to the serial path by reason "
-    "(rho/family/method/forced-pool)"
+    "(rho/method/forced-pool)"
 )
 
 #: Dedup-group callback: ``(fingerprint-or-None, member indices,
@@ -297,20 +297,27 @@ def _plan_batches(
     Batched routing engages only when ``auto_fallback`` is on --
     ``auto_fallback=False`` means "force the worker pool regardless"
     (tests pinning parallel execution rely on it), which the batch
-    kernels must respect just as the pool's own serial downgrade does.  Eligible greedy tasks are grouped by
-    ``(family, slots_per_period)``; groups need at least two members to
-    beat a plain serial solve, so a lone member solves serially.  That
-    is by design, not a degradation, so it counts no fallback.
+    kernels must respect just as the pool's own serial downgrade does.
+    Eligible greedy tasks are grouped by ``(family, slots_per_period)``;
+    groups need at least two members to beat a plain serial solve, so a
+    lone member solves serially.  A family without a batch kernel
+    (:func:`~repro.batched.batch.family_of` is ``None``) also solves
+    serially.  Both are by design, not a degradation, so neither counts
+    a fallback.
     """
     if not auto_fallback:
         if tasks:
             _batch_fallback("forced-pool")
         return [], list(range(len(tasks)))
-    groups: Dict[Tuple[Optional[str], int], List[int]] = {}
+    groups: Dict[Tuple[str, int], List[int]] = {}
     serial: List[int] = []
     for position, (problem, method, _seed) in enumerate(tasks):
         if method != "greedy":
             _batch_fallback("method")
+            serial.append(position)
+            continue
+        family = family_of(problem)
+        if family is None:
             serial.append(position)
             continue
         ok, reason = batchable(problem)
@@ -318,7 +325,7 @@ def _plan_batches(
             _batch_fallback(reason)
             serial.append(position)
             continue
-        key = (family_of(problem), problem.slots_per_period)
+        key = (family, problem.slots_per_period)
         groups.setdefault(key, []).append(position)
     batched: List[List[int]] = []
     for members in groups.values():
@@ -345,7 +352,7 @@ def _run_batched_group(
     start = time.perf_counter()
     for _problem, method, _seed in group_tasks:
         maybe_hit("solve", method=method)
-    results = solve_batch([t[0] for t in group_tasks], method="greedy")
+    results = solve_batch([t[0] for t in group_tasks])
     share = (time.perf_counter() - start) / len(group_tasks)
     payloads = [result_to_payload(result) for result in results]
     telemetry = []

@@ -10,8 +10,13 @@ charge ratios and a seed axis, plus the degenerate shapes (empty
 instances, ragged padding, singleton batches) where mask handling has
 to carry the whole argument.
 
+Weighted coverage and area have no batch kernel.  Their cases of the
+same matrix are routing assertions instead: through ``solve_many`` no
+member is batched, no fallback is counted, and every result equals the
+serial loop's bytes.
+
 ``tests/batched/test_mutation.py`` proves this harness has teeth: with
-the driver's masking or a kernel's cover state corrupted, these exact
+the driver's masking or a kernel's gain column corrupted, these exact
 comparisons fail.
 """
 
@@ -23,11 +28,14 @@ import pytest
 
 from repro.batched.greedy import solve_batch
 from repro.core.solver import solve
+from repro.obs.registry import get_registry
 from repro.runtime.cache import result_to_payload
 from repro.runtime.executor import solve_many
 
 from tests.conftest import (
     BATCH_FAMILIES,
+    KERNEL_FAMILIES,
+    SERIAL_FAMILIES,
     random_batch_problems,
     random_problem,
 )
@@ -49,7 +57,37 @@ def result_bytes(result) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def assert_batched_equals_serial(problems) -> None:
+def fallbacks_counted():
+    """Every ``repro_batched_fallback_total`` sample, keyed by reason."""
+    for family in get_registry().collect():
+        if family["name"] == "repro_batched_fallback_total":
+            return {
+                sample["labels"]["reason"]: sample["value"]
+                for sample in family["samples"]
+                if sample["value"]
+            }
+    return {}
+
+
+def assert_routed_serially(problems) -> None:
+    """A family without a kernel: ``solve_many`` batches no member of a
+    same-``T`` group, counts no fallback and returns the serial loop's
+    bytes."""
+    assert len({p.slots_per_period for p in problems}) == 1
+    get_registry().reset()
+    results, telemetry = solve_many([(p, "greedy", None) for p in problems])
+    assert not any(record.batched for record in telemetry)
+    assert fallbacks_counted() == {}
+    serial = [solve(p, method="greedy") for p in problems]
+    assert [result_bytes(r) for r in results] == (
+        [result_bytes(s) for s in serial]
+    )
+
+
+def assert_batched_equals_serial(problems, family) -> None:
+    if family in SERIAL_FAMILIES:
+        assert_routed_serially(problems)
+        return
     batched = solve_batch(list(problems))
     serial = [solve(p, method="greedy") for p in problems]
     for position, (b, s) in enumerate(zip(batched, serial)):
@@ -80,7 +118,7 @@ def test_batched_equals_serial(family, batch_size, seed):
         sizes=ragged_sizes(seed, batch_size, family),
         rho=rho,
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 @pytest.mark.parametrize("family", BATCH_FAMILIES)
@@ -90,7 +128,7 @@ def test_batched_equals_serial_across_rhos(family, rho):
         seed=900 + SPARSE_RHOS.index(rho), family=family,
         sizes=(3, 5, 2, 6), rho=rho,
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +144,7 @@ def test_empty_instances_ride_along(family):
     problems = random_batch_problems(
         seed=77, family=family, sizes=(0, 4, 0, 2), rho=2.0
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 @pytest.mark.parametrize(
@@ -116,7 +154,7 @@ def test_batch_of_all_empty_instances(family):
     problems = random_batch_problems(
         seed=78, family=family, sizes=(0, 0, 0), rho=1.0
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, family)
 
 
 def test_singleton_batch_each_family():
@@ -124,7 +162,7 @@ def test_singleton_batch_each_family():
         problems = random_batch_problems(
             seed=79, family=family, sizes=(5,), rho=3.0
         )
-        assert_batched_equals_serial(problems)
+        assert_batched_equals_serial(problems, family)
 
 
 def test_maximally_ragged_batch():
@@ -132,7 +170,7 @@ def test_maximally_ragged_batch():
     problems = random_batch_problems(
         seed=80, family="detection", sizes=tuple(range(1, 9)), rho=2.0
     )
-    assert_batched_equals_serial(problems)
+    assert_batched_equals_serial(problems, "detection")
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +203,7 @@ def test_executor_results_identical_under_both_toggles():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "family", ("detection", "homogeneous-detection", "logsum", "target-system")
-)
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_kernels_ignore_the_incremental_toggle(family, from_scratch):
     """The kernels read the specialized evaluators' cached ``_miss``/
     ``_k``/``_total``/``_miss_vec``; the serial reference here runs the

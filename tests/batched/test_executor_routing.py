@@ -2,24 +2,32 @@
 
 :func:`repro.runtime.executor.solve_many` groups eligible unique greedy
 tasks by ``(family, slots_per_period)`` and sends groups of two or more
-through :func:`repro.batched.greedy.solve_batch`.  A group of one solves
-serially by design and counts nothing; everything else takes the
-serial/pool path with a reason recorded on
-``repro_batched_fallback_total``.  These tests pin the routing table:
-the telemetry ``batched`` flag, the fallback reason labels, the metric
-accounting, and the interplay with dedup and the schedule cache.
+through :func:`repro.batched.greedy.solve_batch`.  A group of one, and
+a family without a batch kernel, solve serially by design and count
+nothing; everything else takes the serial/pool path with a reason
+recorded on ``repro_batched_fallback_total``.  These tests pin the
+routing table: the telemetry ``batched`` flag, the fallback reason
+labels, the metric accounting, and the interplay with dedup and the
+schedule cache.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.problem import SchedulingProblem
 from repro.core.solver import solve
+from repro.energy.period import ChargingPeriod
 from repro.obs.registry import get_registry
 from repro.runtime.cache import ScheduleCache
 from repro.runtime.executor import solve_many
+from repro.utility.kcoverage import KCoverageUtility
 
-from tests.batched.test_differential_batched import result_bytes
+from tests.batched.test_differential_batched import (
+    assert_routed_serially,
+    fallbacks_counted,
+    result_bytes,
+)
 from tests.conftest import random_batch_problems, random_problem
 
 
@@ -31,18 +39,6 @@ def fallbacks(reason):
     return get_registry().sample_value(
         "repro_batched_fallback_total", reason=reason
     )
-
-
-def fallbacks_counted():
-    """Every ``repro_batched_fallback_total`` sample, keyed by reason."""
-    for family in get_registry().collect():
-        if family["name"] == "repro_batched_fallback_total":
-            return {
-                sample["labels"]["reason"]: sample["value"]
-                for sample in family["samples"]
-                if sample["value"]
-            }
-    return {}
 
 
 @pytest.fixture(autouse=True)
@@ -85,13 +81,45 @@ class TestBatchedRouting:
 
     def test_batched_results_equal_serial_results(self):
         problems = random_batch_problems(
-            seed=23, family="weighted-coverage", sizes=(5, 3, 4), rho=3.0
+            seed=23, family="target-system", sizes=(5, 3, 4), rho=3.0
         )
         batched_run, telemetry = solve_many(greedy_tasks(problems))
         assert all(record.batched for record in telemetry)
         serial_run = [solve(p, method="greedy") for p in problems]
         assert [result_bytes(r) for r in batched_run] == (
             [result_bytes(r) for r in serial_run]
+        )
+
+
+class TestFamiliesWithoutKernel:
+    """Families without a batch kernel solve serially by design: not a
+    member is batched, nothing is counted, and the bytes are serial's."""
+
+    def test_weighted_coverage_group(self):
+        assert_routed_serially(
+            random_batch_problems(
+                seed=34, family="weighted-coverage", sizes=(6, 4, 5), rho=2.0
+            )
+        )
+
+    def test_area_group(self):
+        assert_routed_serially(
+            random_batch_problems(
+                seed=35, family="area", sizes=(5, 6), rho=3.0
+            )
+        )
+
+    def test_recompute_family_group(self):
+        # k-coverage has no specialized evaluator: family "recompute".
+        assert_routed_serially(
+            [
+                SchedulingProblem(
+                    num_sensors=n,
+                    period=ChargingPeriod.from_ratio(2.0),
+                    utility=KCoverageUtility(range(n), k=2),
+                )
+                for n in (3, 4)
+            ]
         )
 
 

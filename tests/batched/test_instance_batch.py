@@ -2,8 +2,9 @@
 
 The batch structure makes two promises the kernels build on: the
 padding geometry is exact (mask rows count the real sensors and nothing
-else), and ineligible or mixed-shape inputs are rejected with the
-reason labels the executor's fallback counter carries.
+else), and ineligible or mixed-shape inputs are rejected: a dense
+regime with the reason label the executor's fallback counter carries, a
+family without a kernel as no fallback at all.
 """
 
 from __future__ import annotations
@@ -17,13 +18,15 @@ from repro.batched.batch import (
     batchable,
     family_of,
 )
+from repro.batched.kernels import _KERNELS
 from repro.core.problem import SchedulingProblem
 from repro.energy.period import ChargingPeriod
 from repro.utility.detection import HomogeneousDetectionUtility
 from repro.utility.target_system import TargetSystem
 
 from tests.conftest import (
-    BATCH_FAMILIES,
+    KERNEL_FAMILIES,
+    SERIAL_FAMILIES,
     random_batch_problems,
     random_problem,
 )
@@ -36,7 +39,7 @@ def build(family, sizes, seed=3, rho=2.0):
 
 
 class TestPaddingInvariants:
-    @pytest.mark.parametrize("family", BATCH_FAMILIES)
+    @pytest.mark.parametrize("family", KERNEL_FAMILIES)
     def test_mask_counts_exactly_the_real_sensors(self, family):
         sizes = (3, 1, 6, 2)
         batch = build(family, sizes)
@@ -57,7 +60,7 @@ class TestPaddingInvariants:
         assert bool(batch.sensor_mask.all())
 
     def test_all_empty_batch_has_zero_width(self):
-        batch = build("weighted-coverage", (0, 0))
+        batch = build("logsum", (0, 0))
         assert batch.n_max == 0
         assert batch.sensor_mask.shape == (2, 0)
 
@@ -83,7 +86,8 @@ class TestEligibility:
     def test_unsupported_family_rejected(self):
         # A target system with homogeneous children defeats the fast
         # per-target probability gather, mirroring the serial
-        # evaluator's own fast-kernel gate.
+        # evaluator's own fast-kernel gate.  Its shape is batchable;
+        # having no kernel is routing, not a fallback reason.
         system = TargetSystem(
             [frozenset({0, 1})],
             [HomogeneousDetectionUtility(range(2), p=0.4)],
@@ -94,7 +98,27 @@ class TestEligibility:
             utility=system,
         )
         assert family_of(problem) is None
-        assert batchable(problem) == (False, "family")
+        assert batchable(problem) == (True, "ok")
+        with pytest.raises(BatchError, match="problem 0 has no batch kernel"):
+            InstanceBatch([problem, problem])
+
+    @pytest.mark.parametrize("family", SERIAL_FAMILIES)
+    def test_families_without_kernel(self, family):
+        problems = random_batch_problems(
+            seed=6, family=family, sizes=(3, 4), rho=2.0
+        )
+        assert [family_of(p) for p in problems] == [None, None]
+        assert batchable(problems[0]) == (True, "ok")
+        with pytest.raises(BatchError, match="problem 0 has no batch kernel"):
+            InstanceBatch(problems)
+
+    def test_kernel_families_are_the_kernels(self):
+        assert {
+            family_of(random_problem(seed=6, rho=2.0, family=family))
+            for family in KERNEL_FAMILIES
+        } == set(_KERNELS) == {
+            "detection", "homogeneous-detection", "logsum", "target-system"
+        }
 
     def test_plain_target_system_is_supported(self):
         problem = random_problem(seed=6, rho=2.0, family="target-system")

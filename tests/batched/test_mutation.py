@@ -3,16 +3,14 @@
 A differential harness that never fails proves nothing.  Each test
 here installs one targeted corruption of a layer the batched path owns
 -- the driver's candidacy mask, its padding sentinel, the detection
-kernel's miss gather, the coverage kernel's cover-counter update -- and
-asserts the exact byte comparison of
+kernel's miss gather -- and asserts the exact byte comparison of
 ``tests/batched/test_differential_batched.py`` now *fails* on
 instances it passes unmutated.  If a future refactor makes one of
 these corruptions undetectable, the differential suite has silently
 lost its teeth and this file says so.
 
-The running state of the detection, homogeneous-detection, log-sum and
-target-system kernels is the serial evaluators' own, so a bug there
-corrupts both sides of that comparison alike;
+The running state of every kernel is the serial evaluators' own, so a
+bug there corrupts both sides of that comparison alike;
 ``test_stale_evaluator_rebuild_is_caught_by_the_evaluator_oracle``
 shows that the incremental-vs-base random walks of
 ``tests/core/test_differential.py`` are the check that catches it.
@@ -25,20 +23,41 @@ import pytest
 
 from repro.batched import greedy as greedy_module
 from repro.batched import kernels as kernels_module
+from repro.batched.batch import BatchError
 from repro.batched.greedy import solve_batch
+from repro.core.problem import SchedulingProblem
 from repro.core.solver import solve
+from repro.energy.period import ChargingPeriod
 from repro.utility import incremental as incremental_module
+from repro.utility.logsum import LogSumUtility
 
 import tests.core.test_differential as core_differential
 from tests.batched.test_differential_batched import result_bytes
 from tests.conftest import random_batch_problems
 
 
-def coverage_problems():
-    """Overlapping covers: stale cover counters must change gains."""
-    return random_batch_problems(
-        seed=41, family="weighted-coverage", sizes=(5, 3, 6), rho=2.0
+def zero_gain_problems():
+    """Log-sum instances whose zero-weight sensors have exact-zero gains.
+
+    The positive-weight sensors are placed first; the rounds after that
+    compare only ``+0.0`` gains, and every zero-weight sensor has a
+    placed sensor with a lower id, so a ``0.0`` mask sentinel ties with
+    the first real candidate and ``argmax`` resolves onto the placed
+    sensor.
+    """
+    weights = (
+        (1.5, 0.0, 0.7, 0.0, 2.0, 0.0),
+        (0.9, 0.4, 0.0, 0.0),
+        (0.3, 0.0, 1.1, 0.0, 0.6),
     )
+    return [
+        SchedulingProblem(
+            num_sensors=len(row),
+            period=ChargingPeriod.from_ratio(2.0),
+            utility=LogSumUtility(dict(enumerate(row))),
+        )
+        for row in weights
+    ]
 
 
 def detection_problems():
@@ -51,10 +70,14 @@ def batched_matches_serial(problems) -> bool:
     """The differential harness's core check, reduced to a verdict.
 
     A corrupted batched path may also crash (infeasible schedules,
-    double placements); any failure mode counts as "caught".
+    double placements), which counts as "caught".  A
+    :class:`~repro.batched.batch.BatchError` does not: it means the
+    inputs never reached a kernel, and it propagates.
     """
     try:
         batched = solve_batch(list(problems))
+    except BatchError:
+        raise
     except Exception:
         return False
     serial = [solve(p, method="greedy") for p in problems]
@@ -65,7 +88,7 @@ def batched_matches_serial(problems) -> bool:
 
 
 def test_sanity_unmutated_paths_agree():
-    assert batched_matches_serial(coverage_problems())
+    assert batched_matches_serial(zero_gain_problems())
     assert batched_matches_serial(detection_problems())
 
 
@@ -81,31 +104,20 @@ def test_ignoring_the_candidacy_mask_is_caught(monkeypatch):
 
 def test_weakening_the_mask_sentinel_is_caught(monkeypatch):
     """Mutation: masked entries get 0.0 instead of -inf.  Once real
-    marginal gains hit exact zero (exhausted covers), argmax ties
+    marginal gains hit exact zero (zero-weight sensors), argmax ties
     resolve onto already-placed sensors."""
     monkeypatch.setattr(
         greedy_module,
         "_mask_gains",
         lambda raw, alive: np.where(alive[:, :, None], raw, 0.0),
     )
-    caught = not batched_matches_serial(coverage_problems())
-    # Dense overlap forces zero-gain rounds; if this seed ever stops
-    # producing them, fail loudly rather than vacuously pass.
+    caught = not batched_matches_serial(zero_gain_problems())
+    # Zero-weight sensors force zero-gain rounds; if these instances
+    # ever stop producing them, fail loudly rather than vacuously pass.
     assert caught, (
-        "0.0-sentinel corruption went unnoticed: the coverage instances "
-        "no longer reach zero-gain rounds, pick denser ones"
+        "0.0-sentinel corruption went unnoticed: the log-sum instances "
+        "no longer reach zero-gain rounds"
     )
-
-
-def test_stale_cover_counters_are_caught(monkeypatch):
-    """Mutation: the coverage kernel drops its cover-counter update, so
-    every gain keeps counting already-covered elements."""
-    monkeypatch.setattr(
-        kernels_module._MaskedSumKernel,
-        "apply",
-        lambda self, index, sensor, slot: None,
-    )
-    assert not batched_matches_serial(coverage_problems())
 
 
 def test_stale_miss_products_are_caught(monkeypatch):

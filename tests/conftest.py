@@ -235,9 +235,17 @@ def random_area_problem(
     )
 
 
-#: The batched-kernel families: the five wire families plus area
-#: coverage, which only the dedicated generator above can build.
+#: Every family :func:`random_batch_problems` builds: the five wire
+#: families plus area coverage, which only the dedicated generator above
+#: can build.
 BATCH_FAMILIES = UTILITY_FAMILIES + ("area",)
+
+#: The families with no batch kernel: ``solve_many`` solves their groups
+#: serially by design (a serial solve beat their masked-sum kernels).
+SERIAL_FAMILIES = ("weighted-coverage", "area")
+
+#: The families :func:`repro.batched.greedy.solve_batch` accepts.
+KERNEL_FAMILIES = tuple(f for f in BATCH_FAMILIES if f not in SERIAL_FAMILIES)
 
 
 def random_batch_problems(

@@ -26,7 +26,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.batched.greedy import solve_batch
 from repro.core.baselines import high_energy_first_schedule
 from repro.core.greedy import GreedyTrace, greedy_schedule
 from repro.core.greedy_passive import greedy_passive_schedule
@@ -35,6 +34,7 @@ from repro.core.solver import solve
 from repro.energy.period import ChargingPeriod
 from repro.io.serialization import schedule_to_dict
 from repro.obs.registry import get_registry
+from repro.runtime.executor import solve_many
 from repro.runtime.fingerprint import canonical_json
 from repro.sim.cityscale import city_scenario
 from repro.utility.area import AreaCoverageUtility, Subregion
@@ -310,10 +310,12 @@ HEF_SPARSE_RHOS = (1.0, 2.0, 3.0)
 def test_greedy_dominates_high_energy_first(family, rho):
     """The global greedy matches or beats the per-sensor HEF ordering.
 
-    The greedy side runs through :func:`repro.batched.greedy.solve_batch`,
-    so this doubles as a cross-implementation check: the batched kernels
-    against an independently-coded baseline, compared on recomputed
-    utilities rather than schedule bytes.
+    The greedy side runs through :func:`repro.runtime.executor.solve_many`,
+    so for the families with a batch kernel this doubles as a
+    cross-implementation check: the batched kernels against an
+    independently-coded baseline, compared on recomputed utilities
+    rather than schedule bytes.  Weighted coverage has no kernel and
+    solves serially.
     """
     problems = [
         random_problem(
@@ -321,7 +323,9 @@ def test_greedy_dominates_high_energy_first(family, rho):
         )
         for i in range(5)
     ]
-    greedy_results = solve_batch(problems)
+    greedy_results, _telemetry = solve_many(
+        [(p, "greedy", None) for p in problems]
+    )
     for problem, result in zip(problems, greedy_results):
         hef = high_energy_first_schedule(problem)
         hef_total = hef.total_utility(problem.utility)

@@ -8,7 +8,7 @@ they show up as wall-clock noise in perfbench:
   200-sensor weighted-coverage instance -- a change that weakens the
   lazy pruning (or reverts to per-step rescans) fails here;
 - the vectorized kernel passes the batched greedy issues on a fixed
-  uniform batch -- exactly ``n`` passes (one initial + one per
+  uniform detection batch -- exactly ``n`` passes (one initial + one per
   non-final round), *independent of the batch width*.  A change that
   de-vectorizes the driver (per-instance or per-sensor passes) fails
   here.
@@ -25,6 +25,7 @@ from repro.core.solver import solve
 from repro.energy.period import ChargingPeriod
 from repro.obs.registry import get_registry
 from repro.utility.coverage_count import WeightedCoverageUtility
+from repro.utility.detection import DetectionUtility
 
 SENSORS = 200
 SEED = 42
@@ -119,25 +120,12 @@ def pinned_batch(instances: int):
     problems = []
     for member in range(instances):
         rng = np.random.default_rng(1000 + member)
-        num_elements = 2 * BATCHED_SENSORS
-        covers = {
-            v: {
-                int(e)
-                for e in rng.choice(num_elements, size=4, replace=False)
-            }
-            for v in range(BATCHED_SENSORS)
-        }
-        weights = {
-            e: float(w)
-            for e, w in enumerate(
-                rng.uniform(0.5, 2.0, size=num_elements)
-            )
-        }
+        probabilities = rng.uniform(0.2, 0.7, size=BATCHED_SENSORS).tolist()
         problems.append(
             SchedulingProblem(
                 num_sensors=BATCHED_SENSORS,
                 period=ChargingPeriod.paper_sunny(),
-                utility=WeightedCoverageUtility(covers, weights),
+                utility=DetectionUtility(dict(enumerate(probabilities))),
             )
         )
     return problems
@@ -148,7 +136,7 @@ def batched_invocations(instances: int) -> float:
     registry.reset()
     solve_batch(pinned_batch(instances))
     count = registry.sample_value(
-        "repro_batched_kernel_invocations_total", family="coverage"
+        "repro_batched_kernel_invocations_total", family="detection"
     )
     assert count, "batched greedy did not record its kernel passes"
     return count
