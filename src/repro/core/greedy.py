@@ -18,7 +18,17 @@ Two equivalent implementations are provided:
   max-heap of cached gains tagged with a per-slot version number and
   re-evaluate only stale heads.  The selected pairs -- and hence the
   output schedule -- are identical to the naive scan under the same
-  deterministic tie-breaking; only the work is reduced.
+  deterministic tie-breaking; only the work is reduced.  (Identical
+  as long as rounding keeps the evaluations submodular: where it does
+  not, a stale cached score overstates the fresh one by an ulp and the
+  two may pick different members of a float near-tie.)
+
+The two drivers, :func:`_run_lazy` and :func:`_run_naive`, are shared
+with the rho <= 1 passive-slot scheme
+(:mod:`repro.core.greedy_passive`), which runs the same hill-climb in
+the other direction -- measure each removal's loss, remove the
+cheapest -- and with :func:`repro.core.repair.greedy_repair`, which
+restricts the candidate pairs and breaks gain ties by a rank.
 
 Both variants record a :class:`GreedyTrace` of the placement order, the
 data behind the paper's Fig. 4 walkthrough.
@@ -26,16 +36,21 @@ data behind the paper's Fig. 4 walkthrough.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from heapq import heapify, heappop, heappush
+from itertools import product
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.problem import SchedulingProblem
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.obs import tracing
 from repro.obs.registry import get_registry
 from repro.utility.base import UtilityFunction
-from repro.utility.incremental import flush_ops, make_slot_evaluators
+from repro.utility.incremental import (
+    IncrementalEvaluator,
+    flush_ops,
+    make_slot_evaluators,
+)
 from repro.utility.target_system import PerSlotUtility
 
 #: Help text for the marginal-evaluation counter (shared by variants).
@@ -122,130 +137,134 @@ def greedy_schedule(
             f"greedy_schedule requires rho >= 1 (got rho={problem.rho:g}); "
             "use greedy_passive_schedule for rho <= 1"
         )
-    functions = _slot_functions(problem, slot_utilities)
-    with tracing.span("greedy", variant="lazy" if lazy else "naive"):
-        if lazy:
-            assignment, steps = _run_lazy(problem, functions)
-        else:
-            assignment, steps = _run_naive(problem, functions)
+    T = problem.slots_per_period
+    evaluators = make_slot_evaluators(_slot_functions(problem, slot_utilities))
+    candidates = product(problem.sensors, range(T))
+    variant = "lazy" if lazy else "naive"
+    with tracing.span("greedy", variant=variant):
+        run = _run_lazy if lazy else _run_naive
+        assignment, steps, evaluations = run(evaluators, candidates)
+        get_registry().counter(
+            "repro_greedy_marginal_evals_total", _EVALS_HELP, variant=variant
+        ).inc(evaluations)
+        flush_ops(evaluators)
     if trace is not None:
         trace.steps = steps
     return PeriodicSchedule(
-        slots_per_period=problem.slots_per_period,
+        slots_per_period=T,
         assignment=assignment,
         mode=ScheduleMode.ACTIVE_SLOT,
     )
 
 
-def _run_naive(
-    problem: SchedulingProblem,
-    functions: Sequence[UtilityFunction],
-) -> Tuple[dict, List[GreedyStep]]:
-    """Literal Algorithm 1: full scan of remaining pairs each step.
+#: What both drivers return: the sensor -> slot map, the placement
+#: history and the number of gain/loss evaluations made.
+_Run = Tuple[Dict[int, int], List[GreedyStep], int]
 
-    Candidates are sorted once up front and placed sensors skipped --
-    the visit order is identical to re-sorting the remaining set every
-    step, without the per-step O(n log n).  Marginal gains come from
-    per-slot incremental evaluators whose answers are bit-equal to
-    ``functions[slot].marginal`` on the running slot sets.
+
+def _run_naive(
+    evaluators: Sequence[IncrementalEvaluator],
+    candidates: Iterable[Tuple[int, int]],
+    tie_rank: Optional[Callable[[int, int], int]] = None,
+    remove: bool = False,
+) -> _Run:
+    """The literal hill-climb, and the lazy driver's differential oracle.
+
+    Every step measures every candidate (sensor, slot) pair of a sensor
+    not yet placed -- ``gain`` in the slot's evaluator, or ``loss`` when
+    ``remove`` -- and commits the pair with the least key ``(score,
+    rank, sensor, slot)``, where ``score`` is ``-gain`` (or ``loss``)
+    and ``rank`` is ``tie_rank(sensor, slot)`` (0 without one).  The
+    committed pair is added to (removed from) its slot's evaluator.
+    A step's ``gain`` is ``-score``; ``total_after`` accumulates from 0
+    when adding, from the slots' current values when removing.
+
+    Scores negate the measured value rather than multiply it by a sign:
+    a zero gain may be the int ``0``, and the traces keep its type.
     """
-    T = problem.slots_per_period
-    candidates = sorted(problem.sensors)
-    placed: Set[int] = set()
-    evaluators = make_slot_evaluators(functions)
-    assignment: dict = {}
+    measure = [e.loss if remove else e.gain for e in evaluators]
+    commit = [e.remove if remove else e.add for e in evaluators]
+    pairs = [
+        (0 if tie_rank is None else tie_rank(sensor, slot), sensor, slot)
+        for sensor, slot in candidates
+    ]
+    total = sum(e.value() for e in evaluators) if remove else 0.0
+    assignment: Dict[int, int] = {}
     steps: List[GreedyStep] = []
-    total = 0.0
     evaluations = 0
-    for order in range(problem.num_sensors):
-        best: Optional[Tuple[float, int, int]] = None
-        for sensor in candidates:
-            if sensor in placed:
+    while True:
+        best: Optional[Tuple[float, int, int, int]] = None
+        for rank, sensor, slot in pairs:
+            if sensor in assignment:
                 continue
-            for slot in range(T):
-                gain = evaluators[slot].gain(sensor)
-                evaluations += 1
-                # Deterministic tie-break: higher gain, then lower sensor
-                # id, then lower slot id.
-                key = (gain, -sensor, -slot)
-                if best is None or key > best:
-                    best = key
-                    best_pair = (sensor, slot)
-        assert best is not None
-        sensor, slot = best_pair
-        gain = best[0]
-        placed.add(sensor)
-        evaluators[slot].add(sensor)
+            value = measure[slot](sensor)
+            evaluations += 1
+            key = (value if remove else -value, rank, sensor, slot)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            return assignment, steps, evaluations
+        score, _, sensor, slot = best
+        commit[slot](sensor)
         assignment[sensor] = slot
+        gain = -score
         total += gain
-        steps.append(
-            GreedyStep(
-                order=order, sensor=sensor, slot=slot, gain=gain, total_after=total
-            )
-        )
-    get_registry().counter(
-        "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="naive"
-    ).inc(evaluations)
-    flush_ops(evaluators)
-    return assignment, steps
+        steps.append(GreedyStep(len(steps), sensor, slot, gain, total))
 
 
 def _run_lazy(
-    problem: SchedulingProblem,
-    functions: Sequence[UtilityFunction],
-) -> Tuple[dict, List[GreedyStep]]:
+    evaluators: Sequence[IncrementalEvaluator],
+    candidates: Iterable[Tuple[int, int]],
+    tie_rank: Optional[Callable[[int, int], int]] = None,
+    remove: bool = False,
+) -> _Run:
     """CELF-style lazy greedy with per-slot version stamps.
 
-    Heap entries are ``(-gain, sensor, slot, slot_version)``.  A popped
-    entry whose version matches the slot's current version is exact --
-    the slot set has not changed since the gain was computed, and gains
-    in other slots were unaffected -- so it can be taken immediately if
-    the sensor is still unplaced.  Stale entries are recomputed and
-    pushed back.  Correctness relies on per-slot submodularity: a
-    recomputed gain never exceeds the cached one, so the popped maximum
-    of fresh entries is the global maximum.
+    Same arguments and result as :func:`_run_naive`.  Heap entries are
+    ``(score, rank, sensor, slot, slot_version)``.  A popped entry whose
+    version matches the slot's current version is exact -- the slot set
+    has not changed since the score was computed, and scores in other
+    slots were unaffected -- so it can be taken immediately if the
+    sensor is still unplaced.  Stale entries are recomputed and pushed
+    back.  Correctness relies on per-slot submodularity: a recomputed
+    gain never exceeds the cached one (nor a recomputed loss falls
+    below it), so the popped minimum of fresh entries is the global
+    minimum.
     """
-    T = problem.slots_per_period
-    remaining: Set[int] = set(problem.sensors)
-    evaluators = make_slot_evaluators(functions)
-    slot_version = [0] * T
-    assignment: dict = {}
-    steps: List[GreedyStep] = []
-    total = 0.0
-
-    heap: List[Tuple[float, int, int, int]] = []
-    for sensor in problem.sensors:
-        for slot in range(T):
-            heap.append((-evaluators[slot].gain(sensor), sensor, slot, 0))
+    measure = [e.loss if remove else e.gain for e in evaluators]
+    commit = [e.remove if remove else e.add for e in evaluators]
+    total = sum(e.value() for e in evaluators) if remove else 0.0
+    slot_version = [0] * len(evaluators)
+    remaining = set()
+    heap: List[Tuple[float, int, int, int, int]] = []
+    for sensor, slot in candidates:
+        rank = 0 if tie_rank is None else tie_rank(sensor, slot)
+        value = measure[slot](sensor)
+        heap.append((value if remove else -value, rank, sensor, slot, 0))
+        remaining.add(sensor)
     evaluations = len(heap)
     # Every (sensor, slot) pair is one unique entry, so heapify pops the
     # same sequence as pushing the entries one by one.
-    heapq.heapify(heap)
+    heapify(heap)
 
-    order = 0
+    assignment: Dict[int, int] = {}
+    steps: List[GreedyStep] = []
+    pop, push = heappop, heappush
     while remaining and heap:
-        neg_gain, sensor, slot, version = heapq.heappop(heap)
+        score, rank, sensor, slot, version = pop(heap)
         if sensor not in remaining:
             continue
         if version != slot_version[slot]:
-            gain = evaluators[slot].gain(sensor)
+            value = measure[slot](sensor)
             evaluations += 1
-            heapq.heappush(heap, (-gain, sensor, slot, slot_version[slot]))
+            fresh = value if remove else -value
+            push(heap, (fresh, rank, sensor, slot, slot_version[slot]))
             continue
-        gain = -neg_gain
         remaining.remove(sensor)
-        evaluators[slot].add(sensor)
+        commit[slot](sensor)
         slot_version[slot] += 1
         assignment[sensor] = slot
+        gain = -score
         total += gain
-        steps.append(
-            GreedyStep(
-                order=order, sensor=sensor, slot=slot, gain=gain, total_after=total
-            )
-        )
-        order += 1
-    get_registry().counter(
-        "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="lazy"
-    ).inc(evaluations)
-    flush_ops(evaluators)
-    return assignment, steps
+        steps.append(GreedyStep(len(steps), sensor, slot, gain, total))
+    return assignment, steps, evaluations

@@ -8,28 +8,31 @@ choose each sensor's single *off* (passive) slot so as to minimize the
 decremental utility.  The resulting schedule is feasible and keeps the
 1/2-approximation (Thm. 4.4).
 
-As with the rho >= 1 scheme, a lazy variant is provided.  Here the
-cached decrements are *lower bounds* of the true current decrements
-(removing other sensors from a slot can only make a sensor's own
-removal hurt more, by submodularity), so popping the min of a min-heap
-and re-checking freshness is again exact.
+Both variants run the drivers of :mod:`repro.core.greedy` in the
+removing direction.  In the lazy one the cached decrements are *lower
+bounds* of the true current decrements (removing other sensors from a
+slot can only make a sensor's own removal hurt more, by
+submodularity), so popping the min of a min-heap and re-checking
+freshness is again exact, up to the rounding caveat of
+:mod:`repro.core.greedy`.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import List, Optional, Sequence, Set, Tuple
+from itertools import product
+from typing import Optional
 
-from repro.core.greedy import _EVALS_HELP, GreedyStep, GreedyTrace, _slot_functions
+from repro.core.greedy import (
+    _EVALS_HELP,
+    GreedyTrace,
+    _run_lazy,
+    _run_naive,
+    _slot_functions,
+)
 from repro.core.problem import SchedulingProblem
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.obs.registry import get_registry
-from repro.utility.base import UtilityFunction
-from repro.utility.incremental import (
-    IncrementalEvaluator,
-    flush_ops,
-    make_slot_evaluators,
-)
+from repro.utility.incremental import flush_ops, make_slot_evaluators
 from repro.utility.target_system import PerSlotUtility
 
 
@@ -54,127 +57,28 @@ def greedy_passive_schedule(
             f"greedy_passive_schedule requires rho <= 1 (got rho={problem.rho:g}); "
             "use greedy_schedule for rho > 1"
         )
-    functions = _slot_functions(problem, slot_utilities)
-    if lazy:
-        assignment, steps = _run_lazy(problem, functions)
-    else:
-        assignment, steps = _run_naive(problem, functions)
+    T = problem.slots_per_period
+    # Every slot starts from the *same* everyone-on frozenset: sharing
+    # the object keeps iteration order -- and hence float accumulation
+    # -- identical to the legacy shared-set code.
+    everyone = frozenset(problem.sensors)
+    evaluators = make_slot_evaluators(_slot_functions(problem, slot_utilities))
+    for evaluator in evaluators:
+        evaluator.reset(everyone)
+    candidates = product(problem.sensors, range(T))
+    run = _run_lazy if lazy else _run_naive
+    assignment, steps, evaluations = run(evaluators, candidates, remove=True)
+    get_registry().counter(
+        "repro_greedy_marginal_evals_total",
+        _EVALS_HELP,
+        variant="passive-lazy" if lazy else "passive-naive",
+    ).inc(evaluations)
+    flush_ops(evaluators)
     if trace is not None:
         trace.steps = steps
     return PeriodicSchedule(
-        slots_per_period=problem.slots_per_period,
+        slots_per_period=T,
         assignment=assignment,
         mode=ScheduleMode.PASSIVE_SLOT,
     )
 
-
-def _initial_evaluators(
-    problem: SchedulingProblem,
-    functions: Sequence[UtilityFunction],
-) -> List[IncrementalEvaluator]:
-    """One evaluator per slot, all starting from the *same* everyone-on
-    frozenset (sharing the object keeps iteration order -- and hence
-    float accumulation -- identical to the legacy shared-set code)."""
-    everyone = frozenset(problem.sensors)
-    evaluators = make_slot_evaluators(functions)
-    for evaluator in evaluators:
-        evaluator.reset(everyone)
-    return evaluators
-
-
-def _total(evaluators: Sequence[IncrementalEvaluator]) -> float:
-    return sum(evaluator.value() for evaluator in evaluators)
-
-
-def _run_naive(
-    problem: SchedulingProblem,
-    functions: Sequence[UtilityFunction],
-) -> Tuple[dict, List[GreedyStep]]:
-    """Literal Sec. IV-B: full scan for the cheapest removal each step."""
-    T = problem.slots_per_period
-    candidates = sorted(problem.sensors)
-    placed: Set[int] = set()
-    evaluators = _initial_evaluators(problem, functions)
-    assignment: dict = {}
-    steps: List[GreedyStep] = []
-    total = _total(evaluators)
-    evaluations = 0
-    for order in range(problem.num_sensors):
-        best: Optional[Tuple[float, int, int]] = None
-        for sensor in candidates:
-            if sensor in placed:
-                continue
-            for slot in range(T):
-                loss = evaluators[slot].loss(sensor)
-                evaluations += 1
-                # Min loss; ties by lower sensor id then lower slot id.
-                key = (loss, sensor, slot)
-                if best is None or key < best:
-                    best = key
-                    best_pair = (sensor, slot)
-        assert best is not None
-        sensor, slot = best_pair
-        loss = best[0]
-        placed.add(sensor)
-        evaluators[slot].remove(sensor)
-        assignment[sensor] = slot
-        total -= loss
-        steps.append(
-            GreedyStep(
-                order=order, sensor=sensor, slot=slot, gain=-loss, total_after=total
-            )
-        )
-    get_registry().counter(
-        "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="passive-naive"
-    ).inc(evaluations)
-    flush_ops(evaluators)
-    return assignment, steps
-
-
-def _run_lazy(
-    problem: SchedulingProblem,
-    functions: Sequence[UtilityFunction],
-) -> Tuple[dict, List[GreedyStep]]:
-    """Lazy min-heap variant; identical output to the naive scan."""
-    T = problem.slots_per_period
-    remaining: Set[int] = set(problem.sensors)
-    evaluators = _initial_evaluators(problem, functions)
-    slot_version = [0] * T
-    assignment: dict = {}
-    steps: List[GreedyStep] = []
-    total = _total(evaluators)
-
-    evaluations = 0
-    heap: List[Tuple[float, int, int, int]] = []
-    for sensor in problem.sensors:
-        for slot in range(T):
-            loss = evaluators[slot].loss(sensor)
-            evaluations += 1
-            heapq.heappush(heap, (loss, sensor, slot, 0))
-
-    order = 0
-    while remaining and heap:
-        loss, sensor, slot, version = heapq.heappop(heap)
-        if sensor not in remaining:
-            continue
-        if version != slot_version[slot]:
-            fresh = evaluators[slot].loss(sensor)
-            evaluations += 1
-            heapq.heappush(heap, (fresh, sensor, slot, slot_version[slot]))
-            continue
-        remaining.remove(sensor)
-        evaluators[slot].remove(sensor)
-        slot_version[slot] += 1
-        assignment[sensor] = slot
-        total -= loss
-        steps.append(
-            GreedyStep(
-                order=order, sensor=sensor, slot=slot, gain=-loss, total_after=total
-            )
-        )
-        order += 1
-    get_registry().counter(
-        "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="passive-lazy"
-    ).inc(evaluations)
-    flush_ops(evaluators)
-    return assignment, steps

@@ -9,14 +9,15 @@ survivors is the right *combinatorial* answer -- greedy is fast and the
 each survivor is mid-cycle, and a node that activated two slots ago
 cannot honour a new activation until it has recharged.
 
-:func:`greedy_repair` is the lazy hill-climbing scheme of
-:mod:`repro.core.greedy` generalized to both realities: an explicit
-sensor subset (the survivors) and per-sensor *allowed slots* (the
-period slots the sensor can feasibly serve given its current charge).
-With every sensor allowed everywhere it reduces exactly to Algorithm 1
-restricted to the subset; the selected pairs use the same deterministic
-tie-breaking (higher gain, then lower sensor id, then lower slot), so
-repairs are reproducible.
+:func:`greedy_repair` runs Algorithm 1's lazy driver
+(:func:`repro.core.greedy._run_lazy`) on a narrower candidate set: an
+explicit sensor subset (the survivors), each paired only with its
+*allowed slots* (the period slots the sensor can feasibly serve given
+its current charge).  With every sensor allowed everywhere it is
+Algorithm 1 restricted to the subset, bit for bit; the selected pairs
+use the same deterministic tie-breaking (higher gain, then the tie
+rank below, then lower sensor id, then lower slot), so repairs are
+reproducible.
 
 Greedy over a symmetric instance has many equivalent optima, and an
 arbitrary relabeling of the incumbent plan is a terrible repair: every
@@ -30,11 +31,10 @@ that strictly increases per-period utility.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.core.greedy import _EVALS_HELP, GreedyStep, GreedyTrace
+from repro.core.greedy import _EVALS_HELP, GreedyTrace, _run_lazy
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.obs.registry import get_registry
 from repro.runtime.retry import remaining_budget
@@ -107,14 +107,6 @@ def greedy_repair(
                 )
         allowed[v] = slots
 
-    remaining: Set[int] = set(sensor_list)
-    evaluators = [make_evaluator(utility) for _ in range(T)]
-    slot_version = [0] * T
-    assignment: Dict[int, int] = {}
-    steps: List[GreedyStep] = []
-    total = 0.0
-    evaluations = 0
-
     def tie_rank(v: int, t: int) -> int:
         # 0 = incumbent slot, 1 = later slot or no incumbent (free),
         # 2 = earlier than incumbent (costs one missed activation).
@@ -124,42 +116,9 @@ def greedy_repair(
             return 0
         return 1 if t > prefer[v] else 2
 
-    # Same CELF-style lazy evaluation as _run_lazy in core.greedy: a
-    # popped entry is exact iff its slot's version is current, because
-    # placements only change gains within their own slot and per-slot
-    # submodularity makes every stale gain an upper bound.
-    heap: List[Tuple[float, int, int, int, int]] = []
-    for v in sensor_list:
-        for t in allowed[v]:
-            gain = evaluators[t].gain(v)
-            evaluations += 1
-            heapq.heappush(heap, (-gain, tie_rank(v, t), v, t, 0))
-
-    order = 0
-    while remaining and heap:
-        neg_gain, rank, sensor, slot, version = heapq.heappop(heap)
-        if sensor not in remaining:
-            continue
-        if version != slot_version[slot]:
-            gain = evaluators[slot].gain(sensor)
-            evaluations += 1
-            heapq.heappush(
-                heap, (-gain, rank, sensor, slot, slot_version[slot])
-            )
-            continue
-        gain = -neg_gain
-        remaining.remove(sensor)
-        evaluators[slot].add(sensor)
-        slot_version[slot] += 1
-        assignment[sensor] = slot
-        total += gain
-        steps.append(
-            GreedyStep(
-                order=order, sensor=sensor, slot=slot, gain=gain, total_after=total
-            )
-        )
-        order += 1
-
+    evaluators = [make_evaluator(utility) for _ in range(T)]
+    candidates = ((v, t) for v in sensor_list for t in allowed[v])
+    assignment, steps, evaluations = _run_lazy(evaluators, candidates, tie_rank)
     get_registry().counter(
         "repro_greedy_marginal_evals_total", _EVALS_HELP, variant="repair"
     ).inc(evaluations)

@@ -666,7 +666,10 @@ class Session:
 
         With every sensor allowed everywhere greedy_repair is
         bit-for-bit the lazy greedy of core.greedy restricted to
-        ``live`` -- the equivalence the differential suite pins.
+        ``live``: both run the same lazy driver, and the ``repair``
+        regime of ``test_fleet_shape_plan_is_pinned``
+        (tests/core/test_differential.py) pins the equivalence on a
+        2,000-sensor city -- plan digest, total and evaluation count.
         """
         remaining_budget(deadline)
         schedule = greedy_repair(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.problem import SchedulingProblem
 from repro.energy.period import ChargingPeriod
+from repro.obs.registry import get_registry
 from repro.utility.area import AreaCoverageUtility, Subregion
 from repro.utility.coverage_count import WeightedCoverageUtility
 from repro.utility.detection import DetectionUtility, HomogeneousDetectionUtility
@@ -304,3 +305,52 @@ def random_problem(
         utility=random_utility(chosen, n, rng),
         num_periods=periods,
     )
+
+
+#: The ``variant`` labels of ``repro_greedy_marginal_evals_total`` that
+#: the three greedy entry points count under.
+GREEDY_VARIANTS = ("lazy", "naive", "passive-lazy", "passive-naive", "repair")
+
+
+def marginal_evals_delta(run):
+    """Call ``run()``; return its result and how far each greedy
+    variant's marginal-evaluation counter moved meanwhile."""
+    registry = get_registry()
+
+    def sample():
+        return {
+            variant: registry.sample_value(
+                "repro_greedy_marginal_evals_total", variant=variant
+            )
+            or 0
+            for variant in GREEDY_VARIANTS
+        }
+
+    before = sample()
+    result = run()
+    after = sample()
+    return result, {v: after[v] - before[v] for v in GREEDY_VARIANTS}
+
+
+def rounding_broke_submodularity(fn, remove, start, placements, pair, score):
+    """Whether ``pair`` scored strictly better at an earlier state of its
+    slot than ``score``, its score after ``placements``.
+
+    Scores are what the greedy drivers minimise: ``-fn.marginal`` when
+    adding to slot sets that start as ``start``, ``fn.decrement`` when
+    removing from them.  ``placements`` are the (sensor, slot) commits
+    made so far.  By submodularity a pair's score can only grow as its
+    slot fills (or empties), so in exact arithmetic this is never true;
+    when rounding makes it true, a cached score overstates the current
+    one, and the lazy greedy may take a float near-tie over the naive
+    scan's pick.
+    """
+    sensor, slot = pair
+    measure = fn.decrement if remove else (lambda v, s: -fn.marginal(v, s))
+    active = start
+    earlier = []
+    for placed, placed_slot in placements:
+        if placed_slot == slot:
+            earlier.append(active)
+            active = active - {placed} if remove else active | {placed}
+    return any(measure(sensor, state) > score for state in earlier)

@@ -5,7 +5,9 @@ optimization of the naive greedy (rescan every candidate each step);
 submodularity makes the two *identical*, not merely close.  Any
 divergence -- on any size, charge ratio, or utility family -- is a bug
 in one of them, so the matrix below compares schedules bit-for-bit,
-not by utility tolerance.
+not by utility tolerance.  The one exception is rounding that breaks
+submodularity itself; ``test_lazy_trace_equals_naive_bit_for_bit``
+accepts a divergence only with a witness of that.
 
 The same discipline applies to the incremental evaluators of
 :mod:`repro.utility.incremental`: the stateful kernels must be
@@ -25,11 +27,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.baselines import high_energy_first_schedule
 from repro.core.greedy import GreedyTrace, greedy_schedule
 from repro.core.greedy_passive import greedy_passive_schedule
 from repro.core.problem import SchedulingProblem
+from repro.core.repair import greedy_repair
 from repro.core.solver import solve
 from repro.energy.period import ChargingPeriod
 from repro.io.serialization import schedule_to_dict
@@ -40,7 +45,14 @@ from repro.sim.cityscale import city_scenario
 from repro.utility.area import AreaCoverageUtility, Subregion
 from repro.utility.incremental import IncrementalEvaluator, make_evaluator
 
-from tests.conftest import UTILITY_FAMILIES, random_problem, random_utility
+from tests.conftest import (
+    GREEDY_VARIANTS,
+    UTILITY_FAMILIES,
+    marginal_evals_delta,
+    random_problem,
+    random_utility,
+    rounding_broke_submodularity,
+)
 
 SIZES = (4, 6, 8)
 RHOS = (1.0 / 3.0, 1.0, 2.0, 3.0)
@@ -85,6 +97,78 @@ def test_lazy_equals_naive_on_fully_random_instances(seed):
     lazy = solve(problem, method="greedy")
     naive = solve(problem, method="greedy-naive")
     assert schedule_bytes(lazy) == schedule_bytes(naive)
+
+
+def _trace_bits(trace):
+    """Each step's pair and the ``repr`` of its gain and total: repr
+    round-trips every float and tells ``0`` from ``0.0`` and ``-0.0``."""
+    return [
+        (s.sensor, s.slot, repr(s.gain), repr(s.total_after)) for s in trace.steps
+    ]
+
+
+def _traced(run, problem, lazy):
+    trace = GreedyTrace()
+    _, evals = marginal_evals_delta(lambda: run(problem, lazy=lazy, trace=trace))
+    return trace, evals
+
+
+@settings(max_examples=80, deadline=None)
+@example(family="target-system", size=4, rho=1.0 / 3.0, seed=0)
+@given(
+    family=st.sampled_from(UTILITY_FAMILIES),
+    size=st.integers(1, 7),
+    rho=st.sampled_from(RHOS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lazy_trace_equals_naive_bit_for_bit(family, size, rho, seed):
+    """Step by step, the lazy driver makes the naive scan's choices with
+    the same gain and total bits, in both directions: adding (Algorithm
+    1, rho >= 1) and removing (the passive scheme, rho <= 1; rho = 1
+    runs both).  Homogeneous detection makes every slot and sensor tie,
+    so the tie-break order is exercised on every step.
+
+    The one allowed divergence is the one the lazy argument cannot
+    rule out: at the first differing step, the naive pick scored
+    strictly better at an earlier state of its slot than it does now,
+    i.e. rounding broke submodularity.  The target-system loss, a
+    difference of two sums over every target, does this (seed 0, four
+    sensors, rho = 1/3).
+
+    Each run counts under its own evaluation label only: the naive scan
+    measures every remaining pair on every step, the lazy one every
+    pair at least once and never more than the scan."""
+    problem = random_problem(seed=seed, num_sensors=size, rho=rho, family=family)
+    T = problem.slots_per_period
+    scan = T * size * (size + 1) // 2
+    runs = []
+    if problem.is_sparse_regime:
+        runs.append((greedy_schedule, False, "lazy", "naive"))
+    if problem.rho <= 1:
+        runs.append((greedy_passive_schedule, True, "passive-lazy", "passive-naive"))
+    for run, remove, lazy_label, naive_label in runs:
+        lazy, lazy_evals = _traced(run, problem, lazy=True)
+        naive, naive_evals = _traced(run, problem, lazy=False)
+        assert len(naive.steps) == size
+        assert naive_evals == {**dict.fromkeys(GREEDY_VARIANTS, 0), naive_label: scan}
+        assert size * T <= lazy_evals[lazy_label] <= scan
+        assert {v: n for v, n in lazy_evals.items() if n} == {
+            lazy_label: lazy_evals[lazy_label]
+        }
+        lazy_bits, naive_bits = _trace_bits(lazy), _trace_bits(naive)
+        if lazy_bits == naive_bits:
+            continue
+        k = next(i for i, (a, b) in enumerate(zip(lazy_bits, naive_bits)) if a != b)
+        pick = naive.steps[k]
+        start = frozenset(problem.sensors) if remove else frozenset()
+        assert rounding_broke_submodularity(
+            problem.utility,
+            remove,
+            start,
+            naive.placements()[:k],
+            (pick.sensor, pick.slot),
+            -pick.gain,
+        ), f"lazy and naive diverge at step {k} with no rounding witness"
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +332,7 @@ def fleet_city():
 
 
 def _fleet_problem(city, regime):
-    if regime == "active":
+    if regime != "passive":
         return city.problem()
     return SchedulingProblem(
         num_sensors=city.num_sensors,
@@ -269,22 +353,33 @@ def _plan_digest(assignment, trace):
 
 
 @pytest.mark.parametrize("flag", ("1", "0"))
-@pytest.mark.parametrize("regime", ("active", "passive"))
+@pytest.mark.parametrize("regime", ("active", "passive", "repair"))
 def test_fleet_shape_plan_is_pinned(fleet_city, regime, flag, from_scratch):
+    """``repair`` is the session cold path: ``greedy_repair`` over every
+    sensor must hit the ``active`` pin (it is Algorithm 1, bit for bit)
+    and count its evaluations under its own label."""
     if flag == "0":
         from_scratch()
-    pin = FLEET_PINS[regime]
-    run = greedy_schedule if regime == "active" else greedy_passive_schedule
+    pin = FLEET_PINS["passive" if regime == "passive" else "active"]
+    problem = _fleet_problem(fleet_city, regime)
     registry = get_registry()
     registry.reset()
     trace = GreedyTrace()
-    schedule = run(_fleet_problem(fleet_city, regime), trace=trace)
+    if regime == "repair":
+        schedule = greedy_repair(
+            problem.sensors, problem.slots_per_period, problem.utility, trace=trace
+        )
+        variant = "repair"
+    else:
+        run = greedy_schedule if regime == "active" else greedy_passive_schedule
+        schedule = run(problem, trace=trace)
+        variant = pin["variant"]
 
     assert _plan_digest(schedule.assignment, trace) == pin["digest"]
     assert trace.total_utility == pin["total"]
     assert Counter(schedule.assignment.values()) == pin["slot_sizes"]
     assert registry.sample_value(
-        "repro_greedy_marginal_evals_total", variant=pin["variant"]
+        "repro_greedy_marginal_evals_total", variant=variant
     ) == pin["evals"]
     family = "coverage" if flag == "1" else "recompute"
     for op, count in pin["ops"].items():
