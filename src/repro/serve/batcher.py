@@ -6,6 +6,10 @@ Every solve a handler thread needs goes through one
 1. **Admission** (caller's thread): if the cache already holds the
    instance (:meth:`~repro.runtime.cache.ScheduleCache.peek_result`),
    answer immediately -- warm traffic never pays batching latency.
+   The HTTP layer remembers the encoded reply of such a hit under the
+   sha256 of its request body (:meth:`SolveBatcher.hit_reply`), and
+   answers the same bytes again while the cache still holds the very
+   payload object the reply was encoded from.
    Otherwise the request joins the queue, unless the number in flight
    has reached ``max_queue`` -- then :class:`OverloadedError` is raised
    *immediately* (the HTTP layer maps it to 429).  Load must be shed at
@@ -47,6 +51,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -67,6 +72,10 @@ _FASTPATH_HELP = "Requests answered from the cache at admission time"
 _CANCELLED_HELP = "Requests cancelled after their submit timeout expired"
 _DRAIN_HELP = "Requests resolved with BatcherClosedError at close, by component"
 _BATCHED_HELP = "Service solves answered through the batched kernel path"
+
+#: A remembered hit reply: (cache key, the payload object the reply was
+#: encoded from, the encoded reply bytes).
+HitReply = Tuple[str, Dict[str, Any], bytes]
 
 
 class OverloadedError(RuntimeError):
@@ -146,6 +155,9 @@ class SolveBatcher:
         self._current_batch: List[_Pending] = []  # being solved right now
         self._in_flight = 0  # queued + currently being solved
         self._closed = False
+        # sha256(request body) -> HitReply, least recently used first.
+        self._replies: "OrderedDict[bytes, HitReply]" = OrderedDict()
+        self._replies_lock = threading.Lock()
 
         registry = get_registry()
         self._m_queue_depth = registry.gauge(
@@ -185,7 +197,9 @@ class SolveBatcher:
 
         Returns ``(result, meta)`` where ``meta`` carries the cache
         status and whether the request was coalesced onto another
-        in-flight solve.  Raises :class:`OverloadedError` when the
+        in-flight solve; an admission fast-path hit also carries
+        ``meta["found"]``, the ``(cache key, payload)`` it answered
+        from.  Raises :class:`OverloadedError` when the
         queue is full, :class:`BatcherClosedError` after :meth:`close`,
         ``TimeoutError`` if no answer arrives within ``timeout``
         seconds, and re-raises whatever the solver raised otherwise.
@@ -257,7 +271,64 @@ class SolveBatcher:
         if result is None:
             return None
         self._m_fastpath.inc()
-        return result, {"cache": "hit", "coalesced": False}
+        meta: Dict[str, Any] = {"cache": "hit", "coalesced": False}
+        # The payload object peek_result just rehydrated: the identity a
+        # remembered reply is validated against.  A concurrent eviction
+        # leaves nothing to remember.
+        payload = self.cache._memory.get(key)
+        if payload is not None:
+            meta["found"] = (key, payload)
+        return result, meta
+
+    # -- byte-keyed hit replies ------------------------------------------
+
+    def hit_reply(self, body_digest: bytes) -> Optional[HitReply]:
+        """The reply remembered for a request body's digest, unvalidated."""
+        with self._replies_lock:
+            return self._replies.get(body_digest)
+
+    def answer_hit_reply(
+        self, body_digest: bytes, entry: HitReply
+    ) -> Optional[bytes]:
+        """``entry``'s reply bytes, if they still answer the request.
+
+        They do while the cache holds the very payload object they were
+        encoded from.  :meth:`~repro.runtime.cache.ScheduleCache.peek`
+        is the check, and it counts the hit and touches the LRU as the
+        fast path's own lookup does.  A replaced, cleared or
+        disk-reloaded entry fails it: the reply is forgotten and
+        ``None`` sends the caller down the full path.
+        """
+        key, payload, reply = entry
+        valid = self.cache.peek(key) is payload
+        with self._replies_lock:
+            if self._replies.get(body_digest) is entry:
+                if valid:
+                    self._replies.move_to_end(body_digest)
+                else:
+                    del self._replies[body_digest]
+        if not valid:
+            return None
+        self._m_fastpath.inc()
+        return reply
+
+    def remember_hit_reply(
+        self,
+        body_digest: bytes,
+        found: Tuple[str, Dict[str, Any]],
+        reply: bytes,
+    ) -> None:
+        """Remember a fast-path hit's encoded reply under its body digest.
+
+        At most the cache's own capacity of replies is kept, least
+        recently answered dropped first.
+        """
+        key, payload = found
+        with self._replies_lock:
+            self._replies[body_digest] = (key, payload, reply)
+            self._replies.move_to_end(body_digest)
+            while len(self._replies) > self.cache.capacity:
+                self._replies.popitem(last=False)
 
     def queue_depth(self) -> int:
         with self._lock:

@@ -11,6 +11,7 @@ condition                             status  error code
 ====================================  ======  =====================
 unknown path                          404     ``not-found``
 wrong HTTP method for the path        405     ``method-not-allowed``
+negative or unreadable Content-Length 400     ``bad-request``
 body exceeds ``max_body_bytes``       413     ``body-too-large``
 body is not valid JSON                400     ``bad-json``
 schema/semantic validation failure    400     (from ``WireError``)
@@ -49,6 +50,12 @@ the response flagged ``"degraded": true``) and only falls through to
 a structured 503 when no fallback applies.  Validation errors and
 deterministic solver failures never trip the breaker.
 
+A ``/v1/solve`` body identical to one the cache fast path already
+answered gets the remembered reply bytes back without being parsed
+(:meth:`~repro.serve.batcher.SolveBatcher.hit_reply`), after the same
+draining and breaker checks and only while the cache still holds the
+payload the reply was encoded from.
+
 429 responses carry ``Retry-After: 1`` -- the queue turns over in
 batch-window time, so an immediate retry storm is the only wrong
 answer.  Every request increments
@@ -58,6 +65,7 @@ answer.  Every request increments
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 import time
@@ -212,16 +220,36 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # -- endpoints -----------------------------------------------------
 
     def _handle_solve(self) -> Tuple[int, bytes]:
-        document, failure = self._read_json()
+        raw, failure = self._read_body()
+        if failure is not None:
+            return failure
+        service = self.service
+        batcher = service.batcher
+        digest = hashlib.sha256(raw).digest()
+        entry = batcher.hit_reply(digest)
+        if (
+            entry is not None
+            and not service.draining
+            and service.breaker.allow()
+        ):
+            reply = batcher.answer_hit_reply(digest, entry)
+            if reply is not None:
+                service.breaker.record_success()
+                return 200, reply
+            # Stale: give the admission back; the full path asks again.
+            service.breaker.record_neutral()
+        document, failure = self._parse_json(raw)
         if failure is not None:
             return failure
         try:
             problem, method, seed = schemas.parse_solve_request(
-                document, max_sensors=self.service.config.max_sensors
+                document, max_sensors=service.config.max_sensors
             )
         except schemas.WireError as error:
             return self._error_response(400, error.code, error.message)
-        return self._solve_and_respond(problem, method, seed, simulate=None)
+        return self._solve_and_respond(
+            problem, method, seed, simulate=None, body_digest=digest
+        )
 
     def _handle_simulate(self) -> Tuple[int, bytes]:
         document, failure = self._read_json()
@@ -243,8 +271,15 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         )
 
     def _solve_and_respond(
-        self, problem, method, seed, simulate: Optional[int]
+        self,
+        problem,
+        method,
+        seed,
+        simulate: Optional[int],
+        body_digest: Optional[bytes] = None,
     ) -> Tuple[int, bytes]:
+        """Solve under the breaker and reply.  ``body_digest`` (solve
+        only) files a fast-path hit's reply under its request body."""
         service = self.service
         if service.draining:
             return self._error_response(
@@ -305,7 +340,12 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 500, "internal", f"{type(error).__name__}: {error}"
             )
         breaker.record_success()
-        return self._respond(problem, planned, meta, simulate)
+        status, reply = self._respond(problem, planned, meta, simulate)
+        if body_digest is not None and "found" in meta:
+            service.batcher.remember_hit_reply(
+                body_digest, meta["found"], reply
+            )
+        return status, reply
 
     def _degraded_response(
         self, problem, method, seed, simulate, code: str, message: str
@@ -643,22 +683,39 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
-    def _read_json(self) -> Tuple[Any, Optional[Tuple[int, bytes]]]:
-        """The parsed body, or ``(None, ready-made failure response)``."""
+    def _read_body(self) -> Tuple[bytes, Optional[Tuple[int, bytes]]]:
+        """The raw body, or ``(b"", ready-made failure response)``."""
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
-            return None, self._error_response(
+            length = -1
+        if length < 0:
+            # ``rfile.read(-1)`` would wait for EOF, and on a keep-alive
+            # connection none comes.  Where the body ends is unknown,
+            # so the connection cannot carry another request either.
+            self.close_connection = True
+            return b"", self._error_response(
                 400, "bad-request", "unreadable Content-Length"
             )
         limit = self.service.config.max_body_bytes
         if length > limit:
-            return None, self._error_response(
+            return b"", self._error_response(
                 413,
                 "body-too-large",
                 f"body of {length} bytes exceeds the {limit} byte limit",
             )
-        raw = self.rfile.read(length) if length else b""
+        return (self.rfile.read(length) if length else b""), None
+
+    def _read_json(self) -> Tuple[Any, Optional[Tuple[int, bytes]]]:
+        """The parsed body, or ``(None, ready-made failure response)``."""
+        raw, failure = self._read_body()
+        if failure is not None:
+            return None, failure
+        return self._parse_json(raw)
+
+    def _parse_json(
+        self, raw: bytes
+    ) -> Tuple[Any, Optional[Tuple[int, bytes]]]:
         try:
             return json.loads(raw.decode("utf-8")), None
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
