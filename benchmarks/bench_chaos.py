@@ -3,11 +3,16 @@
 Drives the :func:`repro.faults.chaos.run_chaos` harness through three
 escalating scenarios -- a clean baseline, a transient-fault storm
 (solver errors + torn cache writes), and a full storm that adds
-batcher stalls and a worker crash -- and records how traffic degraded:
+batcher stalls -- and records how traffic degraded:
 how many requests were answered cleanly, how many honestly flagged
 degraded, how many were shed with structured errors, and (the
 acceptance bar) that **zero** responses violated the robustness
-contract in any scenario.
+contract in any scenario.  Every spec of every storm must fire.
+
+No storm crashes a pool worker: the harness posts one request at a
+time, and the pool runs a lone task in-process, so a ``pool.task``
+spec never fires here.  ``tests/runtime/test_pool_recovery.py`` crashes
+a real worker.
 
 The document lands in ``BENCH_chaos.json`` at the repo root; CI runs
 this module as the ``chaos-smoke`` job with the same fixed seed.
@@ -33,7 +38,6 @@ SCENARIOS = [
     {
         "name": "clean",
         "specs": [],
-        "jobs": None,
     },
     {
         "name": "transient_storm",
@@ -42,7 +46,6 @@ SCENARIOS = [
             "cache.write:torn-write:p=0.4",
             "cache.read:error:p=0.2",
         ],
-        "jobs": None,
     },
     {
         "name": "full_storm",
@@ -50,9 +53,7 @@ SCENARIOS = [
             "solve:error:p=0.25",
             "cache.write:torn-write:p=0.25",
             "batcher.batch:sleep:delay=0.05,p=0.3",
-            "pool.task:crash:times=1",
         ],
-        "jobs": 2,
     },
 ]
 
@@ -65,7 +66,6 @@ def run_scenario(scenario: dict) -> dict:
             plan,
             requests=REQUESTS,
             seed=SEED,
-            jobs=scenario["jobs"],
             cache_dir=cache_dir,
         )
         wall = time.perf_counter() - start
@@ -109,8 +109,11 @@ class TestChaosBench:
                 scenario["violations"],
             )
 
-        # The baseline is all clean answers; the storms actually fired.
+        # The baseline is all clean answers; every storm spec fired.
         clean = by_name["clean"]
         assert clean["outcomes"]["ok"] == clean["requests"]
         for name in ("transient_storm", "full_storm"):
-            assert by_name[name]["faults_fired"], f"{name} never fired"
+            storm = by_name[name]
+            assert sorted(storm["faults_fired"]) == [
+                str(index) for index in range(len(storm["specs"]))
+            ], (name, storm["faults_fired"])

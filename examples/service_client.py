@@ -10,7 +10,7 @@ three behaviors that make a solver safe to put behind a socket:
 1. **caching** -- the second identical request is answered from the
    schedule cache without touching the solver;
 2. **coalescing** -- eight concurrent clients posting the *same*
-   instance cost one solver invocation (watch the marginal-evaluation
+   instance cost one solver invocation (watch the completed-solve
    counter);
 3. **backpressure** -- a deliberately tiny queue sheds concurrent
    distinct requests with 429 instead of queueing without bound.
@@ -84,12 +84,12 @@ def main() -> None:
                 t.start()
             for t in threads:
                 t.join()
-            evals = registry.sample_value(
-                "repro_greedy_marginal_evals_total", variant="lazy"
+            solves = registry.sample_value(
+                "repro_solve_total", method="greedy"
             )
             coalesced = registry.sample_value("repro_server_coalesced_total")
             print(f"8 concurrent identical requests -> all {set(s for s, _ in outcomes)}")
-            print(f"marginal-utility evaluations    : {int(evals)} (one solve)")
+            print(f"greedy solves run               : {int(solves)}")
             print(f"requests coalesced in flight    : {int(coalesced or 0)}\n")
 
         print("-- backpressure -------------------------------------")

@@ -384,7 +384,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         jobs=args.jobs,
         use_cache=not args.no_cache,
-        batch_window=args.batch_window,
         max_queue=args.max_queue,
         max_batch=args.max_batch,
         request_timeout=args.request_timeout,
@@ -674,14 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="serve without the persistent schedule cache",
-    )
-    p_serve.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.02,
-        metavar="SECONDS",
-        help="how long to linger collecting a batch after the first "
-        "request arrives (default: 0.02)",
     )
     p_serve.add_argument(
         "--max-queue",

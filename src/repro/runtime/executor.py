@@ -298,12 +298,12 @@ def _plan_batches(
     ``auto_fallback=False`` means "force the worker pool regardless"
     (tests pinning parallel execution rely on it), which the batch
     kernels must respect just as the pool's own serial downgrade does.
-    Eligible greedy tasks are grouped by ``(family, slots_per_period)``;
-    groups need at least two members to beat a plain serial solve, so a
-    lone member solves serially.  A family without a batch kernel
-    (:func:`~repro.batched.batch.family_of` is ``None``) also solves
-    serially.  Both are by design, not a degradation, so neither counts
-    a fallback.
+    Eligible greedy tasks are grouped by ``(family, slots_per_period)``
+    and every group rides the batch kernels, a group of one included:
+    the width-1 kernel beats the serial lazy greedy at serving sizes
+    (table in ``docs/PERFORMANCE.md``).  A family without a batch kernel
+    (:func:`~repro.batched.batch.family_of` is ``None``) solves serially
+    by design, not as a degradation, so it counts no fallback.
     """
     if not auto_fallback:
         if tasks:
@@ -327,14 +327,7 @@ def _plan_batches(
             continue
         key = (family, problem.slots_per_period)
         groups.setdefault(key, []).append(position)
-    batched: List[List[int]] = []
-    for members in groups.values():
-        if len(members) >= 2:
-            batched.append(members)
-        else:
-            serial.extend(members)
-    serial.sort()
-    return batched, serial
+    return list(groups.values()), serial
 
 
 def _run_batched_group(

@@ -43,7 +43,7 @@ class ServiceConfig:
     jobs: Optional[int] = None  # worker processes per batch
     use_cache: bool = True
     cache_dir: Optional[str] = None  # None = $REPRO_CACHE_DIR / default
-    batch_window: float = 0.02  # seconds to linger collecting a batch
+    batch_window: float = 0.0  # linger seconds; 0 = batch what is queued
     max_batch: int = 64
     max_queue: int = 256  # in-flight bound; beyond it -> 429
     request_timeout: float = 60.0  # per-request wall bound -> 503

@@ -15,14 +15,17 @@ Every solve a handler thread needs goes through one
    *immediately* (the HTTP layer maps it to 429).  Load must be shed at
    the door; a bounded wait here would just move the pile-up into the
    socket backlog.
-2. **Batching** (worker thread): the worker collects everything that
-   arrives within ``batch_window`` seconds of the first pending request
-   (up to ``max_batch``) and hands the batch to
+2. **Batching** (worker thread): the worker takes everything queued
+   when it wakes (up to ``max_batch``) and hands the batch to
    :func:`repro.runtime.executor.solve_many`, which fingerprints,
    coalesces duplicate instances onto one solve, consults the schedule
-   cache, and farms unique misses across the worker pool.  N clients
-   posting the same instance in one window cost **one** solver
-   invocation.
+   cache, and sends unique misses to the batch kernels (a lone miss
+   included) or the worker pool.  It does not linger: requests that
+   arrive while a batch solves queue up and form the next batch, so
+   N clients posting the same instance together cost **one** solver
+   invocation.  ``batch_window`` > 0 holds the batch open that many
+   seconds after the first request; tests use it to keep requests in
+   flight.  The default is 0: a linger only delays the lone miss.
 3. **Fan-out**: each request's future is resolved with its own
    rehydrated result (no shared mutable state across responses).
 
@@ -117,7 +120,8 @@ class SolveBatcher:
         beyond this raise :class:`OverloadedError`.
     batch_window:
         Seconds the worker waits after the first pending request for
-        more to arrive.  Zero batches whatever is already queued.
+        more to arrive.  Zero (the default) batches whatever is already
+        queued.
     max_batch:
         Hard cap on requests per batch.
     retry:
@@ -130,7 +134,7 @@ class SolveBatcher:
         cache: Optional[ScheduleCache] = None,
         jobs: Optional[int] = None,
         max_queue: int = 256,
-        batch_window: float = 0.02,
+        batch_window: float = 0.0,
         max_batch: int = 64,
         retry: Optional[RetryPolicy] = None,
     ) -> None:

@@ -57,7 +57,7 @@ draining and breaker checks and only while the cache still holds the
 payload the reply was encoded from.
 
 429 responses carry ``Retry-After: 1`` -- the queue turns over in
-batch-window time, so an immediate retry storm is the only wrong
+one batch's solve time, so an immediate retry storm is the only wrong
 answer.  Every request increments
 ``repro_server_requests_total{endpoint,status}`` and observes
 ``repro_server_request_seconds{endpoint}``.
@@ -126,6 +126,10 @@ def send_reply(
         handler.send_header("Content-Length", str(len(payload)))
         if status == 429:
             handler.send_header("Retry-After", "1")
+        if handler.close_connection:
+            # Announce the close so a keep-alive client reconnects for
+            # its next request instead of writing into a dead socket.
+            handler.send_header("Connection", "close")
         if handler.request_version == "HTTP/0.9":
             handler.wfile.write(payload)  # 0.9 replies carry no headers
             return
@@ -699,6 +703,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             )
         limit = self.service.config.max_body_bytes
         if length > limit:
+            # The body is left unread, so its bytes would be parsed as
+            # the next request: this connection carries no other.
+            self.close_connection = True
             return b"", self._error_response(
                 413,
                 "body-too-large",

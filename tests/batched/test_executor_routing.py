@@ -1,9 +1,9 @@
 """Executor routing: which work rides the batch kernels, and why not.
 
 :func:`repro.runtime.executor.solve_many` groups eligible unique greedy
-tasks by ``(family, slots_per_period)`` and sends groups of two or more
-through :func:`repro.batched.greedy.solve_batch`.  A group of one, and
-a family without a batch kernel, solve serially by design and count
+tasks by ``(family, slots_per_period)`` and sends every group through
+:func:`repro.batched.greedy.solve_batch`, a group of one included.  A
+family without a batch kernel solves serially by design and counts
 nothing; everything else takes the serial/pool path with a reason
 recorded on ``repro_batched_fallback_total``.  These tests pin the
 routing table: the telemetry ``batched`` flag, the fallback reason
@@ -123,15 +123,32 @@ class TestFamiliesWithoutKernel:
         )
 
 
-class TestFallbackReasons:
-    def test_singleton_group_counts_no_fallback(self):
-        problems = random_batch_problems(
-            seed=24, family="detection", sizes=(4,), rho=2.0
-        )
-        _results, telemetry = solve_many(greedy_tasks(problems))
-        assert not telemetry[0].batched
-        assert fallbacks_counted() == {}
+class TestLoneMember:
+    """A task alone in its call rides the width-1 kernel: batched, no
+    fallback counted, and serial ``solve``'s bytes.  The sizes span the
+    measured kernel/serial crossover (n = 32-128 by family)."""
 
+    @pytest.mark.parametrize("num_sensors", [2, 8, 64, 256])
+    @pytest.mark.parametrize(
+        "family",
+        ["detection", "homogeneous-detection", "logsum", "target-system"],
+    )
+    def test_lone_member_rides_the_kernel(self, family, num_sensors):
+        problem = random_problem(
+            seed=24, num_sensors=num_sensors, rho=2.0, family=family
+        )
+        (result,), (record,) = solve_many(greedy_tasks([problem]))
+        assert record.batched
+        assert fallbacks_counted() == {}
+        assert get_registry().sample_value(
+            "repro_batched_batches_total", family=family
+        ) == 1
+        assert result_bytes(result) == (
+            result_bytes(solve(problem, method="greedy"))
+        )
+
+
+class TestFallbackReasons:
     def test_dense_regime_falls_back(self):
         problems = [
             random_problem(seed=25 + i, rho=0.5, family="detection")
@@ -176,17 +193,23 @@ class TestFallbackReasons:
 
 class TestDedupAndCacheInterplay:
     def test_duplicates_collapse_before_batching(self):
-        """Duplicate tasks dedup onto one representative; with just one
-        unique instance left there is nothing to batch (it solves
-        serially, counting no fallback) and the duplicates report cache
-        hits."""
+        """Duplicate tasks dedup onto one representative, which rides
+        the kernel alone (counting no fallback); the duplicates report
+        cache hits."""
         problem = random_problem(seed=30, rho=2.0, family="detection")
         _results, telemetry = solve_many(
             greedy_tasks([problem, problem, problem])
         )
-        assert not any(record.batched for record in telemetry)
+        assert [record.batched for record in telemetry] == (
+            [True, False, False]
+        )
         assert fallbacks_counted() == {}
-        assert [record.cache for record in telemetry].count("hit") == 2
+        assert get_registry().sample_value(
+            "repro_batched_instances_total", family="detection"
+        ) == 1
+        assert [record.cache for record in telemetry] == (
+            ["miss", "hit", "hit"]
+        )
 
     def test_duplicates_of_batched_representatives_fan_out(self):
         problems = random_batch_problems(

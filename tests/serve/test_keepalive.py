@@ -178,3 +178,23 @@ class TestNoStall:
             response, _, _ = exchange("GET", "/healthz")
             assert response.status == 200
         assert time.perf_counter() - start < 0.4
+
+
+class TestOversizedBody:
+    def test_413_closes_the_connection(self, keepalive):
+        """An over-limit body is never read, so its bytes must not be
+        parsed as the next request: the structured 413 announces the
+        close, and the next request on the same client object goes out
+        on a fresh connection."""
+        _, _, exchange = keepalive(max_body_bytes=64)
+        body = solve_body()
+        assert len(json.dumps(body)) > 64
+        response, payload, reply_writes = exchange("POST", "/v1/solve", body)
+        _assert_one_write(response, payload, reply_writes)
+        assert response.status == 413
+        assert response.getheader("Connection") == "close"
+        assert json.loads(payload)["error"]["code"] == "body-too-large"
+
+        response, payload, _ = exchange("GET", "/healthz")
+        assert response.status == 200
+        assert json.loads(payload)["status"] == "ok"

@@ -3,7 +3,7 @@
 Covers the acceptance criteria from the service layer's issue: golden
 request/response JSON, structured 400s for malformed input, 429 under
 induced overload, duplicate in-flight requests coalesced onto one
-solver invocation (asserted via the marginal-evaluation counter), and
+solver invocation (asserted via the completed-solve counter), and
 a ``/metrics`` exposition that passes the repo's Prometheus linter.
 """
 
@@ -204,19 +204,10 @@ class TestOverload:
 class TestCoalescing:
     def test_concurrent_duplicate_clients_cost_one_solve(self, make_service):
         """>= 8 concurrent clients posting the same instance must be
-        answered by a single solver invocation: total marginal-utility
-        evaluations equal those of one direct solve."""
+        answered by a single solver invocation: one completed greedy
+        solve, whichever path (serial or batch kernel) ran it."""
         registry = get_registry()
         body = solve_body(sensors=10)
-
-        # Baseline: what one solve of this instance costs.
-        registry.reset()
-        problem = schemas.problem_from_wire(body["problem"])
-        solve(problem, method="greedy")
-        single = registry.sample_value(
-            "repro_greedy_marginal_evals_total", variant="lazy"
-        )
-        assert single and single > 0
 
         registry.reset()
         service, client = make_service(batch_window=0.25)
@@ -246,10 +237,9 @@ class TestCoalescing:
         # request either rode the batch representative (coalesced), hit
         # the cache the representative populated, or *was* the
         # representative.
-        evals = registry.sample_value(
-            "repro_greedy_marginal_evals_total", variant="lazy"
-        )
-        assert evals == single
+        assert registry.sample_value(
+            "repro_solve_total", method="greedy"
+        ) == 1
         # The request counter increments after the response bytes are
         # flushed, so give the handler threads a beat to finish.
         served = registry.sample_value(
