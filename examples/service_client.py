@@ -13,7 +13,9 @@ three behaviors that make a solver safe to put behind a socket:
    instance cost one solver invocation (watch the completed-solve
    counter);
 3. **backpressure** -- a deliberately tiny queue sheds concurrent
-   distinct requests with 429 instead of queueing without bound.
+   distinct requests with 429 instead of queueing without bound.  An
+   injected ``batcher.batch`` stall stands in for a slow solve, so the
+   queue is still full when the burst arrives.
 
 Run:  python examples/service_client.py
 """
@@ -24,6 +26,8 @@ import threading
 import urllib.error
 import urllib.request
 
+from repro.faults import injector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.obs.registry import get_registry
 from repro.serve.app import ServiceConfig, SolveService
 
@@ -93,9 +97,11 @@ def main() -> None:
             print(f"requests coalesced in flight    : {int(coalesced or 0)}\n")
 
         print("-- backpressure -------------------------------------")
-        tiny = ServiceConfig(
-            port=0, use_cache=False, max_queue=2, batch_window=0.3
+        tiny = ServiceConfig(port=0, use_cache=False, max_queue=2)
+        stall = FaultSpec(
+            site="batcher.batch", action="sleep", delay=0.3, times=1
         )
+        injector.install(FaultPlan(specs=(stall,)))
         with SolveService(tiny) as service:
             url = service.url
             barrier = threading.Barrier(10)
@@ -123,6 +129,7 @@ def main() -> None:
                 f"{statuses.count(200)}x 200, {statuses.count(429)}x 429"
             )
             print("the queue sheds load at the door instead of melting")
+        injector.uninstall()
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.batched.kernels import _KERNELS
 from repro.core.problem import SchedulingProblem
-from repro.utility.incremental import detection_targets, evaluator_class
+from repro.utility.incremental import DetectionEvaluator, evaluator_class
+from repro.utility.target_system import TargetSystem
 
 
 class BatchError(ValueError):
@@ -34,8 +35,7 @@ def family_of(problem: SchedulingProblem) -> Optional[str]:
     The family is the tag of the serial evaluator
     :func:`~repro.utility.incremental.evaluator_class` dispatches to.
     Families without a kernel (``recompute``, ``coverage``, ``area``)
-    and target systems outside
-    :func:`~repro.utility.incremental.detection_targets` answer
+    and target systems outside :func:`detection_targets` answer
     ``None``: they solve serially by design, which is no fallback.
     """
     fn = problem.utility
@@ -45,6 +45,17 @@ def family_of(problem: SchedulingProblem) -> Optional[str]:
     if family == "target-system" and not detection_targets(fn):
         return None
     return family
+
+
+def detection_targets(fn: TargetSystem) -> bool:
+    """Whether every target of ``fn`` is a plain detection utility whose
+    probability table covers the target's sensors: the only target
+    system the target-system kernel accepts."""
+    return all(
+        evaluator_class(child) is DetectionEvaluator
+        and all(v in child._probabilities for v in cover)
+        for child, cover in zip(fn._utilities, fn._coverage)
+    )
 
 
 def batchable(problem: SchedulingProblem) -> Tuple[bool, str]:

@@ -13,33 +13,33 @@ every sensor of every requested instance in one numpy pass:
 
 Families without a kernel here (weighted coverage, area, the
 ``recompute`` fallback and target systems outside
-:func:`~repro.utility.incremental.detection_targets`) solve serially by
+:func:`~repro.batched.batch.detection_targets`) solve serially by
 design: :func:`~repro.batched.batch.family_of` answers ``None`` for
 them.
 
 No kernel keeps family state of its own.  Each holds one serial
 evaluator per ``(instance, slot)``, built by
 :func:`~repro.utility.incremental.make_evaluator`;
-:meth:`BatchKernel.apply` is that evaluator's
-``add``, and a column reads its cached scalar: the miss product
-``_miss``, the count ``_k``, the weight total ``_total`` or the
-per-target miss vector ``_miss_vec``.  Rules 1 and 2 of the
-accumulation contract in :mod:`repro.utility.incremental` (the
-``S | {v}`` chain, cached scalars recomputed by the family's own
-methods) therefore hold by construction.  What a kernel owns is its
-padded per-sensor arrays and the vectorized gain expression, which keep
-the serial bits by two further rules:
+:meth:`BatchKernel.apply` is that evaluator's ``add``, and a column
+reads the one per-slot quantity the evaluator declares and its own
+``_gain`` uses: ``slot_factor()`` for the detection families (the
+target-system kernel reads it from each per-target child) and
+``weight_gain(w)`` for log-sum.  Rules 1-3 of the accumulation
+contract in :mod:`repro.utility.incremental` therefore hold by
+construction.  What a kernel owns is its padded per-sensor arrays and
+the vectorized expression around that quantity, which keep the serial
+bits by two further rules:
 
-3. Gain expressions reduce in the serial order.  Ragged per-sensor term
+4. Gain expressions reduce in the serial order.  Ragged per-sensor term
    lists are padded with exact-zero terms and reduced with
    ``np.cumsum`` (sequential left-to-right), which is bit-equal to the
    serial filtered ``sum`` because every real partial sum is
    ``>= +0.0`` and ``x + 0.0 == x`` exactly.
-4. **No transcendental ufuncs.**  ``np.log1p``/``np.expm1`` do not
+5. **No transcendental ufuncs.**  ``np.log1p``/``np.expm1`` do not
    bit-match libm's ``math.log1p``/``math.expm1`` everywhere, so the
-   logsum kernel calls ``math.log1p`` per distinct weight (the vector
-   add stays numpy) and the homogeneous-detection kernel calls
-   ``value_of_count`` itself once per column.
+   transcendentals stay in the evaluators' scalar ``slot_factor`` and
+   ``weight_gain``, called once per column (log-sum: once per distinct
+   weight of the column).
 
 Padded entries (sensor ids beyond an instance's real count) always
 produce an exact ``0.0`` gain here; the greedy driver additionally
@@ -51,7 +51,6 @@ this layer to prove the differential suite notices.
 
 from __future__ import annotations
 
-import math
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -64,7 +63,7 @@ from typing import (
 
 import numpy as np
 
-from repro.utility.incremental import make_evaluator
+from repro.utility.incremental import DetectionEvaluator, make_evaluator
 
 if TYPE_CHECKING:
     from repro.batched.batch import InstanceBatch
@@ -94,7 +93,7 @@ def _stack_terms(terms: Terms, n_max: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _sequential_sums(terms: np.ndarray) -> np.ndarray:
-    """Left-to-right sums over the last axis (rule 3)."""
+    """Left-to-right sums over the last axis (rule 4)."""
     if terms.shape[-1] == 0:
         return np.zeros(terms.shape[:-1], dtype=np.float64)
     return np.cumsum(terms, axis=-1)[..., -1]
@@ -102,8 +101,6 @@ def _sequential_sums(terms: np.ndarray) -> np.ndarray:
 
 class BatchKernel:
     """A kernel over one serial evaluator per ``(instance, slot)``."""
-
-    family = "?"
 
     def __init__(self, batch: InstanceBatch):
         self.batch = batch
@@ -164,114 +161,86 @@ class BatchKernel:
         return out
 
 
-class DetectionKernel(BatchKernel):
-    """``gain = p_v * miss(S_t)`` over each slot evaluator's ``_miss``."""
+class ProductKernel(BatchKernel):
+    """``W[v] * slot_factor()``: the detection families.
 
-    family = "detection"
-
-    def __init__(self, batch: InstanceBatch):
-        super().__init__(batch)
-        self._p = self._per_sensor(lambda fn: fn._probabilities)
-
-    def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
-        rows = [i for i, _ in pairs]
-        miss = np.array(
-            [self._evals[i][t]._miss for i, t in pairs], dtype=np.float64
-        )
-        return self._p[rows] * miss[:, None]
-
-
-class HomogeneousDetectionKernel(BatchKernel):
-    """``value_of_count(k + 1) - value_of_count(k)`` over each slot
-    evaluator's count ``_k``, masked to the ground set.
-
-    The count gain is the serial scalar expression, one per column, so
-    no ``expm1``/``log1p`` runs in numpy (rule 4).
+    Detection's weight is ``p_v`` and its factor the miss product;
+    homogeneous detection's weight is 1.0 per ground sensor and its
+    factor the count gain.  Both come from the slot evaluator
+    (``sensor_weights`` and ``slot_factor``), whose own ``_gain`` is the
+    same product, so a column is its scalar gains bit for bit.
     """
 
-    family = "homogeneous-detection"
-
     def __init__(self, batch: InstanceBatch):
         super().__init__(batch)
-        self._in_ground = self._per_sensor(
-            lambda fn: dict.fromkeys(fn.ground_set, 1.0)
-        )
+        self._w = self._per_sensor(type(self._evals[0][0]).sensor_weights)
 
     def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
         rows = [i for i, _ in pairs]
-        gains = []
-        for i, t in pairs:
-            evaluator = self._evals[i][t]
-            fn, k = evaluator.fn, evaluator._k
-            gains.append(fn.value_of_count(k + 1) - fn.value_of_count(k))
-        gains = np.array(gains, dtype=np.float64)
-        return self._in_ground[rows] * gains[:, None]
+        factors = np.array(
+            [self._evals[i][t].slot_factor() for i, t in pairs],
+            dtype=np.float64,
+        )
+        return self._w[rows] * factors[:, None]
 
 
 class LogSumKernel(BatchKernel):
-    """``log1p(total + w) - log1p(total)`` over each slot evaluator's
-    ``_total``, with libm transcendentals.
+    """Each slot evaluator's ``weight_gain`` over a palette of weights.
 
-    The sum ``total + w`` is one IEEE add (numpy or scalar -- same
-    bits); the ``log1p`` calls go through :mod:`math` per element
-    because numpy's vectorized ``log1p`` is not bit-equal to libm's on
-    every platform.
+    ``weight_gain`` runs its libm ``log1p`` once per *distinct* weight
+    of an instance (rule 5) and the column gathers the palette back.
+    Equal weights give identical bits, so the gathered column equals the
+    per-element one.
     """
-
-    family = "logsum"
 
     def __init__(self, batch: InstanceBatch):
         super().__init__(batch)
-        w = self._per_sensor(lambda fn: fn._weights)
-        # Weight palettes: log1p is evaluated once per *distinct*
-        # weight and gathered back.  Equal weights share one IEEE add
-        # ``total + w`` (identical bits), so the gathered column equals
-        # the per-element one bit-for-bit.
-        self._uniq: List[np.ndarray] = []
+        w = self._per_sensor(lambda fn: fn.weights)
+        self._uniq: List[List[float]] = []
         self._inverse: List[np.ndarray] = []
         for i in range(self.N):
             uniq, inverse = np.unique(w[i], return_inverse=True)
-            self._uniq.append(uniq)
+            self._uniq.append(uniq.tolist())
             self._inverse.append(inverse.reshape(-1))
 
     def _columns(self, pairs: List[Tuple[int, int]]) -> np.ndarray:
         out = np.empty((len(pairs), self.n_max), dtype=np.float64)
         for b, (i, t) in enumerate(pairs):
-            total = self._evals[i][t]._total
+            weight_gain = self._evals[i][t].weight_gain
             uniq = self._uniq[i]
-            base = math.log1p(total)
+            # w == 0.0 (missing weight / padding) gains exactly +0.0,
+            # the serial early-return value.
             col = np.fromiter(
-                (math.log1p(x) for x in (total + uniq).tolist()),
+                (weight_gain(w) for w in uniq),
                 dtype=np.float64,
                 count=len(uniq),
             )
-            # w == 0.0 (missing weight / padding) gives log1p(total) -
-            # base == x - x == +0.0, the serial early-return value.
-            out[b] = (col - base)[self._inverse[i]]
+            out[b] = col[self._inverse[i]]
         return out
 
 
 class TargetSystemKernel(BatchKernel):
-    """Eq. 1 sums of per-target detection gains over each slot
-    evaluator's per-target miss vector ``_miss_vec``.
+    """Eq. 1 sums of per-target detection gains.
 
-    The per-sensor ``(target-ids, probs)`` arrays are the evaluator's
-    own (``TargetSystemEvaluator._fast``), padded; gains gather the miss
-    vector by them and reduce sequentially (rule 3).
+    Each sensor's ``(target, p)`` terms come from the utility in the
+    order ``TargetSystem.marginal`` sums them, padded; a column gathers
+    every child evaluator's ``slot_factor()`` (its miss product) by
+    target, multiplies and reduces sequentially (rule 4).
     """
-
-    family = "target-system"
 
     def __init__(self, batch: InstanceBatch):
         super().__init__(batch)
         terms = []
-        for i, problem in enumerate(batch.problems):
-            fast = self._evals[i][0]._fast
+        for problem in batch.problems:
+            fn = problem.utility
+            probs = [
+                DetectionEvaluator.sensor_weights(fn.target_utility(tid))
+                for tid in range(fn.num_targets)
+            ]
             terms.append(
                 {
-                    s: list(zip(tids.tolist(), probs.tolist()))
-                    for s, (tids, probs) in fast.items()
-                    if s < problem.num_sensors
+                    s: [(tid, probs[tid][s]) for tid in fn.targets_of(s)]
+                    for s in range(problem.num_sensors)
                 }
             )
         self._tids, self._probs = _stack_terms(terms, self.n_max)
@@ -283,8 +252,8 @@ class TargetSystemKernel(BatchKernel):
         rows = np.array([i for i, _ in pairs], dtype=np.intp)
         miss = np.ones((len(pairs), self._m_max), dtype=np.float64)
         for b, (i, t) in enumerate(pairs):
-            vec = self._evals[i][t]._miss_vec
-            miss[b, : len(vec)] = vec
+            children = self._evals[i][t].children
+            miss[b, : len(children)] = [c.slot_factor() for c in children]
         b_index = np.arange(len(pairs), dtype=np.intp)[:, None, None]
         return _sequential_sums(
             self._probs[rows] * miss[b_index, self._tids[rows]]
@@ -292,8 +261,8 @@ class TargetSystemKernel(BatchKernel):
 
 
 _KERNELS: Dict[str, type] = {
-    "detection": DetectionKernel,
-    "homogeneous-detection": HomogeneousDetectionKernel,
+    "detection": ProductKernel,
+    "homogeneous-detection": ProductKernel,
     "logsum": LogSumKernel,
     "target-system": TargetSystemKernel,
 }

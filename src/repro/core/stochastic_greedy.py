@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.problem import SchedulingProblem
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
 from repro.coverage.deployment import RngLike, make_rng
@@ -64,9 +62,8 @@ def stochastic_greedy_schedule(
 
     sample_size = max(1, math.ceil((n / max(T, 1)) * math.log(1.0 / epsilon)))
     remaining: List[int] = list(range(n))
-    # One incremental evaluator per slot; the batched gains() kernel
-    # scores a whole sample against a slot in one call, bit-equal to
-    # the per-pair utility.marginal scan it replaces.
+    # One incremental evaluator per slot; each gain is bit-equal to the
+    # per-pair utility.marginal it replaces.
     evaluators = [make_evaluator(utility) for _ in range(T)]
     assignment: Dict[int, int] = {}
     evaluations = 0
@@ -75,14 +72,12 @@ def stochastic_greedy_schedule(
         k = min(sample_size, len(remaining))
         idx = generator.choice(len(remaining), size=k, replace=False)
         sample = [remaining[i] for i in idx]
-        slot_gains = [evaluators[slot].gains(sample) for slot in range(T)]
         evaluations += k * T
         best: Optional[Tuple[float, int, int]] = None
         best_pick = (sample[0], 0)
-        for i, sensor in enumerate(sample):
+        for sensor in sample:
             for slot in range(T):
-                gain = float(slot_gains[slot][i])
-                key = (gain, -sensor, -slot)
+                key = (evaluators[slot].gain(sensor), -sensor, -slot)
                 if best is None or key > best:
                     best = key
                     best_pick = (sensor, slot)

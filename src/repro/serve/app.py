@@ -43,7 +43,6 @@ class ServiceConfig:
     jobs: Optional[int] = None  # worker processes per batch
     use_cache: bool = True
     cache_dir: Optional[str] = None  # None = $REPRO_CACHE_DIR / default
-    batch_window: float = 0.0  # linger seconds; 0 = batch what is queued
     max_batch: int = 64
     max_queue: int = 256  # in-flight bound; beyond it -> 429
     request_timeout: float = 60.0  # per-request wall bound -> 503
@@ -91,7 +90,6 @@ class SolveService:
             cache=self.cache,
             jobs=self.config.jobs,
             max_queue=self.config.max_queue,
-            batch_window=self.config.batch_window,
             max_batch=self.config.max_batch,
             retry=retry,
         )

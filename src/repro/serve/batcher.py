@@ -23,9 +23,8 @@ Every solve a handler thread needs goes through one
    included) or the worker pool.  It does not linger: requests that
    arrive while a batch solves queue up and form the next batch, so
    N clients posting the same instance together cost **one** solver
-   invocation.  ``batch_window`` > 0 holds the batch open that many
-   seconds after the first request; tests use it to keep requests in
-   flight.  The default is 0: a linger only delays the lone miss.
+   invocation.  There is no linger window: it would only delay the
+   lone miss.
 3. **Fan-out**: each request's future is resolved with its own
    rehydrated result (no shared mutable state across responses).
 
@@ -118,10 +117,6 @@ class SolveBatcher:
     max_queue:
         Maximum requests in flight (queued + being solved); admissions
         beyond this raise :class:`OverloadedError`.
-    batch_window:
-        Seconds the worker waits after the first pending request for
-        more to arrive.  Zero (the default) batches whatever is already
-        queued.
     max_batch:
         Hard cap on requests per batch.
     retry:
@@ -134,7 +129,6 @@ class SolveBatcher:
         cache: Optional[ScheduleCache] = None,
         jobs: Optional[int] = None,
         max_queue: int = 256,
-        batch_window: float = 0.0,
         max_batch: int = 64,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
@@ -142,14 +136,9 @@ class SolveBatcher:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if batch_window < 0:
-            raise ValueError(
-                f"batch_window must be >= 0, got {batch_window}"
-            )
         self.cache = cache
         self.jobs = jobs
         self.max_queue = max_queue
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.retry = retry
 
@@ -391,22 +380,12 @@ class SolveBatcher:
             self._execute(batch)
 
     def _collect_batch(self) -> Optional[List[_Pending]]:
-        """Block for the first request, linger ``batch_window``, drain."""
+        """Block for the first request, then take what is queued."""
         with self._lock:
             while not self._queue and not self._closed:
                 self._arrived.wait()
             if not self._queue:
                 return None  # closed and drained
-        if self.batch_window > 0:
-            deadline = time.monotonic() + self.batch_window
-            with self._lock:
-                while (
-                    len(self._queue) < self.max_batch
-                    and not self._closed
-                    and (remaining := deadline - time.monotonic()) > 0
-                ):
-                    self._arrived.wait(remaining)
-        with self._lock:
             batch = self._queue[: self.max_batch]
             del self._queue[: len(batch)]
         return batch

@@ -687,8 +687,25 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------
 
-    def _read_body(self) -> Tuple[bytes, Optional[Tuple[int, bytes]]]:
-        """The raw body, or ``(b"", ready-made failure response)``."""
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` only for a body the handler will read.
+
+        A declared length :meth:`_body_length` refuses gets no ``100``:
+        the route answers its structured 400 or 413 with
+        ``Connection: close`` instead, and the client need not send the
+        body at all.
+        """
+        _, failure = self._body_length()
+        if failure is not None:
+            return True
+        return super().handle_expect_100()
+
+    def _body_length(self) -> Tuple[int, Optional[Tuple[int, bytes]]]:
+        """The declared ``Content-Length``, or ``(-1, failure response)``.
+
+        A refused length leaves the body unread, so this connection
+        carries no further request.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
@@ -698,19 +715,26 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             # connection none comes.  Where the body ends is unknown,
             # so the connection cannot carry another request either.
             self.close_connection = True
-            return b"", self._error_response(
+            return -1, self._error_response(
                 400, "bad-request", "unreadable Content-Length"
             )
         limit = self.service.config.max_body_bytes
         if length > limit:
-            # The body is left unread, so its bytes would be parsed as
-            # the next request: this connection carries no other.
+            # Unread, the body's bytes would be parsed as the next
+            # request.
             self.close_connection = True
-            return b"", self._error_response(
+            return -1, self._error_response(
                 413,
                 "body-too-large",
                 f"body of {length} bytes exceeds the {limit} byte limit",
             )
+        return length, None
+
+    def _read_body(self) -> Tuple[bytes, Optional[Tuple[int, bytes]]]:
+        """The raw body, or ``(b"", ready-made failure response)``."""
+        length, failure = self._body_length()
+        if failure is not None:
+            return b"", failure
         return (self.rfile.read(length) if length else b""), None
 
     def _read_json(self) -> Tuple[Any, Optional[Tuple[int, bytes]]]:

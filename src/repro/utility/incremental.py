@@ -52,10 +52,14 @@ rules make exactness hold:
    legacy path would have recomputed per query.
 3. **Identical accumulation order in gains.**  ``gain(v)`` evaluates
    the same expression, over the same containers in the same iteration
-   order, as the family's ``marginal``.  The numpy-batched kernel in
-   :class:`TargetSystemEvaluator` multiplies element-wise (IEEE-exact
-   per element) and then reduces **sequentially in Python** -- numpy's
-   pairwise summation would change the bits.
+   order, as the family's ``marginal``.  The families the batched
+   kernels (:mod:`repro.batched.kernels`) vectorize declare the one
+   per-slot quantity their gains depend on, and their own ``_gain``
+   reads it: detection and homogeneous detection multiply a per-sensor
+   weight (``sensor_weights``) by the slot's ``slot_factor()``, and
+   log-sum applies ``weight_gain(w)`` to the sensor's weight.  A kernel
+   computes the same IEEE operations from the same quantity, so it
+   cannot drift from the scalar gain.
 
 :class:`TargetSystemEvaluator` refreshes *all* per-target children on
 every mutation, not only the targets of the mutated sensor: the legacy
@@ -82,12 +86,11 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
 )
-
-import numpy as np
 
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.utility.area import AreaCoverageUtility
@@ -199,19 +202,6 @@ class IncrementalEvaluator:
         self._count("value")
         return self._current_value()
 
-    def gains(self, candidates: Sequence[int]) -> np.ndarray:
-        """Batched ``gain`` over ``candidates`` as a float64 vector.
-
-        Element ``i`` is bit-equal to ``self.gain(candidates[i])``
-        (specializations use a vectorized kernel; see
-        :class:`TargetSystemEvaluator`).
-        """
-        self._ops["gain"] = self._ops.get("gain", 0) + len(candidates)
-        out = np.empty(len(candidates), dtype=np.float64)
-        for i, sensor in enumerate(candidates):
-            out[i] = self._gain(sensor)
-        return out
-
     def snapshot(self) -> Tuple[Any, ...]:
         """An O(cached-state) token that :meth:`restore` accepts."""
         self._count("snapshot")
@@ -294,8 +284,17 @@ class DetectionEvaluator(IncrementalEvaluator):
     family = "detection"
 
     def __init__(self, fn: DetectionUtility):
-        self._probs = fn._probabilities  # shared ref; the public property copies
+        self._probs = self.sensor_weights(fn)
         super().__init__(fn)
+
+    @staticmethod
+    def sensor_weights(fn: DetectionUtility) -> Mapping[int, float]:
+        """``p_v`` per sensor (a shared ref; the public property copies)."""
+        return fn._probabilities
+
+    def slot_factor(self) -> float:
+        """The miss product ``miss(S)``: a gain is ``p_v`` times it."""
+        return self._miss
 
     def _rebuild(self) -> None:
         self._miss = self._fn.miss_probability(self.active)
@@ -306,7 +305,7 @@ class DetectionEvaluator(IncrementalEvaluator):
         p = self._probs.get(sensor)
         if p is None:
             return 0.0
-        return p * self._miss
+        return p * self.slot_factor()
 
     def _loss(self, sensor: int) -> float:
         if sensor not in self._built:
@@ -336,6 +335,16 @@ class HomogeneousDetectionEvaluator(IncrementalEvaluator):
         self._ground = fn.ground_set
         super().__init__(fn)
 
+    @staticmethod
+    def sensor_weights(fn: HomogeneousDetectionUtility) -> Mapping[int, float]:
+        """1.0 per ground sensor: every gain is the slot factor itself."""
+        return dict.fromkeys(fn.ground_set, 1.0)
+
+    def slot_factor(self) -> float:
+        """The count gain ``value_of_count(k + 1) - value_of_count(k)``."""
+        fn = self._fn
+        return fn.value_of_count(self._k + 1) - fn.value_of_count(self._k)
+
     def _rebuild(self) -> None:
         self._k = self._fn.count(self.active)
 
@@ -352,8 +361,7 @@ class HomogeneousDetectionEvaluator(IncrementalEvaluator):
         member = self._delta.get(sensor, sensor in self._built)
         if member or sensor not in self._ground:
             return 0.0
-        fn = self._fn
-        return fn.value_of_count(self._k + 1) - fn.value_of_count(self._k)
+        return self.slot_factor()
 
     def _loss(self, sensor: int) -> float:
         if not self._has(sensor):
@@ -389,13 +397,17 @@ class LogSumEvaluator(IncrementalEvaluator):
     def _rebuild(self) -> None:
         self._total = self._fn.total_weight(self.active)
 
+    def weight_gain(self, w: float) -> float:
+        """The gain of a sensor of weight ``w``; exactly ``+0.0`` at 0."""
+        return math.log1p(self._total + w) - math.log1p(self._total)
+
     def _gain(self, sensor: int) -> float:
         if sensor in self._built:
             return 0.0
         w = self._weights.get(sensor)
         if not w:
             return 0.0
-        return math.log1p(self._total + w) - math.log1p(self._total)
+        return self.weight_gain(w)
 
     def _loss(self, sensor: int) -> float:
         if sensor not in self._built:
@@ -547,14 +559,6 @@ class TargetSystemEvaluator(IncrementalEvaluator):
     targets of the mutated sensor alone would not be bit-safe); a
     ``gain`` then touches only the targets the candidate covers, each in
     O(1) when the child is a :class:`DetectionEvaluator`.
-
-    When every child is a detection evaluator whose probability table
-    covers its target's sensors (:func:`detection_targets`),
-    :meth:`gains` switches to a numpy kernel: per-sensor
-    ``(target-ids, probs)`` arrays are gathered against the maintained
-    per-target miss vector, multiplied element-wise (IEEE-exact), and
-    reduced *sequentially in Python* to preserve the legacy
-    ``gain += term`` accumulation order.
     """
 
     family = "target-system"
@@ -567,26 +571,12 @@ class TargetSystemEvaluator(IncrementalEvaluator):
             make_evaluator(child)
             for child in fn._utilities
         ]
-        self._fast_enabled = detection_targets(fn)
-        self._build_fast_kernel()
         super().__init__(fn)
 
-    def _build_fast_kernel(self) -> None:
-        self._fast: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        if self._fast_enabled:
-            for v, tids in self._targets_of.items():
-                self._fast[v] = (
-                    np.array(tids, dtype=np.intp),
-                    np.array(
-                        [self._children[tid]._probs[v] for tid in tids],
-                        dtype=np.float64,
-                    ),
-                )
-        self._miss_vec = (
-            np.empty(self._num_targets, dtype=np.float64)
-            if self._fast_enabled
-            else None
-        )
+    @property
+    def children(self) -> Sequence[IncrementalEvaluator]:
+        """The per-target evaluators, indexed by target id."""
+        return self._children
 
     def _rebuild(self) -> None:
         active = self.active
@@ -594,10 +584,6 @@ class TargetSystemEvaluator(IncrementalEvaluator):
         children = self._children
         for tid in range(self._num_targets):
             children[tid].reset(active & coverage[tid])
-        if self._fast_enabled:
-            miss_vec = self._miss_vec
-            for tid in range(self._num_targets):
-                miss_vec[tid] = children[tid]._miss  # type: ignore[attr-defined]
 
     def _gain(self, sensor: int) -> float:
         if sensor in self._built:
@@ -619,68 +605,17 @@ class TargetSystemEvaluator(IncrementalEvaluator):
             children[i]._current_value() for i in range(self._num_targets)
         )
 
-    def per_target_values(self) -> np.ndarray:
-        """Vector of per-target values -- bit-equal to
-        :meth:`TargetSystem.per_target_values` on the active set."""
-        children = self._children
-        return np.array(
-            [children[i]._current_value() for i in range(self._num_targets)]
-        )
-
-    def gains(self, candidates: Sequence[int]) -> np.ndarray:
-        if not self._fast_enabled:
-            return super().gains(candidates)
-        self._ops["gain"] = self._ops.get("gain", 0) + len(candidates)
-        out = np.empty(len(candidates), dtype=np.float64)
-        active = self._built
-        miss_vec = self._miss_vec
-        fast = self._fast
-        for i, sensor in enumerate(candidates):
-            if sensor in active:
-                out[i] = 0.0
-                continue
-            entry = fast.get(sensor)
-            if entry is None:
-                out[i] = 0.0
-                continue
-            tids, probs = entry
-            terms = probs * miss_vec[tids]
-            gain = 0.0
-            for term in terms.tolist():
-                gain += term
-            out[i] = gain
-        return out
-
     def _state(self) -> Any:
         return tuple(child.snapshot() for child in self._children)
 
     def _load_state(self, state: Any) -> None:
-        children = self._children
-        for child, token in zip(children, state):
+        for child, token in zip(self._children, state):
             child.restore(token)
-        if self._fast_enabled:
-            miss_vec = self._miss_vec
-            for tid in range(self._num_targets):
-                miss_vec[tid] = children[tid]._miss  # type: ignore[attr-defined]
 
     def drain_ops(self) -> Iterator[Tuple[str, Dict[str, int]]]:
         yield from super().drain_ops()
         for child in self._children:
             yield from child.drain_ops()
-
-
-def detection_targets(fn: TargetSystem) -> bool:
-    """Whether every target of ``fn`` is a plain detection utility whose
-    probability table covers the target's sensors.
-
-    That is the shape :meth:`TargetSystemEvaluator.gains` vectorizes
-    and the only target system the batched kernels accept.
-    """
-    return all(
-        evaluator_class(child) is DetectionEvaluator
-        and all(v in child._probabilities for v in cover)
-        for child, cover in zip(fn._utilities, fn._coverage)
-    )
 
 
 def evaluator_class(fn: UtilityFunction) -> type:

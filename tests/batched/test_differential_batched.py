@@ -205,10 +205,10 @@ def test_executor_results_identical_under_both_toggles():
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_kernels_ignore_the_incremental_toggle(family, from_scratch):
-    """The kernels read the specialized evaluators' cached ``_miss``/
-    ``_k``/``_total``/``_miss_vec``; the serial reference here runs the
-    from-scratch base evaluator, which caches none of them.  The batch
-    must still match it bit for bit."""
+    """The kernels read the specialized evaluators' ``slot_factor()``
+    and ``weight_gain(w)``; the serial reference here runs the
+    from-scratch base evaluator, which has neither.  The batch must
+    still match it bit for bit."""
     problems = random_batch_problems(
         seed=81, family=family, sizes=(4, 2, 5), rho=2.0
     )

@@ -2,8 +2,9 @@
 
 A differential harness that never fails proves nothing.  Each test
 here installs one targeted corruption of a layer the batched path owns
--- the driver's candidacy mask, its padding sentinel, the detection
-kernel's miss gather -- and asserts the exact byte comparison of
+-- the driver's candidacy mask, its padding sentinel, the product
+kernel's slot factor (detection and homogeneous detection) -- and
+asserts the exact byte comparison of
 ``tests/batched/test_differential_batched.py`` now *fails* on
 instances it passes unmutated.  If a future refactor makes one of
 these corruptions undetectable, the differential suite has silently
@@ -120,16 +121,34 @@ def test_weakening_the_mask_sentinel_is_caught(monkeypatch):
     )
 
 
-def test_stale_miss_products_are_caught(monkeypatch):
-    """Mutation: the detection kernel's miss gather reads 1.0 instead of
-    the slot evaluators' miss products, so slots never saturate and the
-    greedy piles everything onto one."""
+def _ignore_slot_factor(monkeypatch):
+    """Mutation: the product kernel drops each slot evaluator's
+    ``slot_factor()`` and answers the bare sensor weights, as if every
+    factor read 1.0."""
     monkeypatch.setattr(
-        kernels_module.DetectionKernel,
+        kernels_module.ProductKernel,
         "_columns",
-        lambda self, pairs: self._p[[i for i, _ in pairs]],
+        lambda self, pairs: self._w[[i for i, _ in pairs]],
     )
+
+
+def test_stale_miss_products_are_caught(monkeypatch):
+    """Detection on the product kernel: with the miss product ignored,
+    slots never saturate and the greedy piles everything onto one."""
+    _ignore_slot_factor(monkeypatch)
     assert not batched_matches_serial(detection_problems())
+
+
+def test_ignored_count_gain_is_caught(monkeypatch):
+    """Homogeneous detection on the product kernel: with the count gain
+    ignored, every ground sensor gains 1.0 in every slot, so the
+    schedules (or their utilities) leave the serial ones."""
+    problems = random_batch_problems(
+        seed=42, family="homogeneous-detection", sizes=(6, 4, 5), rho=3.0
+    )
+    assert batched_matches_serial(problems)
+    _ignore_slot_factor(monkeypatch)
+    assert not batched_matches_serial(problems)
 
 
 def test_stale_evaluator_rebuild_is_caught_by_the_evaluator_oracle(

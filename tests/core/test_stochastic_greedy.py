@@ -1,5 +1,8 @@
 """Tests for the stochastic (subsampled) greedy variant."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,11 @@ from repro.core.stochastic_greedy import stochastic_greedy_schedule
 from repro.energy.period import ChargingPeriod
 from repro.utility.detection import HomogeneousDetectionUtility
 
-from tests.conftest import random_target_system
+from tests.conftest import (
+    UTILITY_FAMILIES,
+    random_problem,
+    random_target_system,
+)
 
 
 def make_problem(n, rho=3.0, utility=None):
@@ -90,3 +97,35 @@ class TestQuality:
             )
 
         assert mean_value(0.02) >= mean_value(0.5) - 1e-6
+
+
+#: sha256 of the sorted ``(sensor, slot)`` assignment per family on
+#: ``random_problem(seed=7, num_sensors=40, rho=3.0)`` at ``epsilon=0.2``
+#: and ``rng=11``.  A change to how the sampled gains are evaluated must
+#: keep every tie-break, so these pins must not move.
+SCHEDULE_PINS = {
+    "homogeneous-detection": (
+        "81de15b595c27c3424812a5c38b5cde3da878f75734146933f6d45c8ddacfb61"
+    ),
+    "detection": (
+        "7d79c1c1407227086b53d0b4eb4fa1d5a6ba94fd2072f10e1b8c20df7a55a3a5"
+    ),
+    "logsum": (
+        "3175220860141fd4159ffdba5583a65ff28fd1b3c91c9dad34631606a1356919"
+    ),
+    "weighted-coverage": (
+        "51090ad268329222c6ab32d8bab2d514c569ddcf592d3401157cea248998b8d8"
+    ),
+    "target-system": (
+        "bd9b63689f6d93f9411fb9da3bb087adb34da2a2520bdbe82d27b991d9567df9"
+    ),
+}
+
+
+@pytest.mark.parametrize("family", UTILITY_FAMILIES)
+def test_schedule_is_pinned_per_family(family):
+    problem = random_problem(seed=7, num_sensors=40, rho=3.0, family=family)
+    schedule = stochastic_greedy_schedule(problem, epsilon=0.2, rng=11)
+    document = json.dumps(sorted(schedule.assignment.items()))
+    digest = hashlib.sha256(document.encode()).hexdigest()
+    assert digest == SCHEDULE_PINS[family]

@@ -9,13 +9,52 @@ can observe the handler threads directly.  The client is plain
 from __future__ import annotations
 
 import json
+import time
 import urllib.error
 import urllib.request
 from typing import Any, Dict, Optional, Tuple
 
 import pytest
 
+from repro.faults import injector
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.serve.app import ServiceConfig, SolveService
+from repro.serve.batcher import SolveBatcher
+
+
+def stall_batches(delay: float, times: int = 1) -> None:
+    """Make each of the next ``times`` batches sleep ``delay`` seconds
+    before it solves (a ``batcher.batch`` sleep fault).
+
+    The batcher does not linger, so this is how a test keeps requests
+    in flight: whatever arrives while a batch sleeps queues up and
+    forms the next batch.  ``tests/conftest.py`` uninstalls the plan
+    after every test.
+    """
+    injector.install(
+        FaultPlan(
+            specs=(
+                FaultSpec(
+                    site="batcher.batch",
+                    action="sleep",
+                    delay=delay,
+                    times=times,
+                ),
+            )
+        )
+    )
+
+
+def wait_until_solving(batcher: SolveBatcher, timeout: float = 5.0) -> None:
+    """Block until the worker has collected a batch and is running it
+    (inside a :func:`stall_batches` sleep, if one is installed)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with batcher._lock:
+            if batcher._current_batch:
+                return
+        assert time.monotonic() < deadline, "no batch started"
+        time.sleep(0.005)
 
 
 class Client:
@@ -73,7 +112,6 @@ def make_service():
 
     def factory(**overrides) -> Tuple[SolveService, Client]:
         overrides.setdefault("port", 0)
-        overrides.setdefault("batch_window", 0.02)
         service = SolveService(ServiceConfig(**overrides)).start()
         started.append(service)
         return service, Client(service.url)

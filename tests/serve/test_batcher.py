@@ -18,6 +18,8 @@ from repro.serve.batcher import (
     SolveBatcher,
 )
 
+from .conftest import stall_batches, wait_until_solving
+
 
 def small_problem(sensors=6, rho=3.0, p=0.4):
     return schemas.problem_from_wire(
@@ -36,7 +38,7 @@ def closing():
 
 class TestSubmit:
     def test_result_matches_direct_solve(self, closing):
-        batcher = SolveBatcher(cache=None, batch_window=0.0)
+        batcher = SolveBatcher(cache=None)
         closing(batcher)
         problem = small_problem()
         result, meta = batcher.submit(problem, "greedy")
@@ -50,7 +52,7 @@ class TestSubmit:
     def test_cache_miss_then_admission_fast_path(self, tmp_path, closing):
         get_registry().reset()
         cache = ScheduleCache(directory=tmp_path)
-        batcher = SolveBatcher(cache=cache, batch_window=0.0)
+        batcher = SolveBatcher(cache=cache)
         closing(batcher)
         problem = small_problem()
         _, first = batcher.submit(problem, "greedy")
@@ -63,7 +65,7 @@ class TestSubmit:
         )
 
     def test_solver_errors_propagate(self, closing):
-        batcher = SolveBatcher(cache=None, batch_window=0.0)
+        batcher = SolveBatcher(cache=None)
         closing(batcher)
         with pytest.raises(ValueError, match="[Uu]nknown"):
             batcher.submit(small_problem(), "no-such-method")
@@ -72,12 +74,31 @@ class TestSubmit:
         assert result.schedule
 
 
+def hold_worker(batcher: SolveBatcher, delay: float) -> threading.Thread:
+    """Occupy the worker with a stalled batch of one other instance.
+
+    Returns the blocker's client thread once its batch is running;
+    requests submitted during the ``delay`` queue up behind it and form
+    the next batch together.
+    """
+    stall_batches(delay)
+    blocker = threading.Thread(
+        target=batcher.submit,
+        args=(small_problem(sensors=9), "greedy"),
+        kwargs={"timeout": 30},
+    )
+    blocker.start()
+    wait_until_solving(batcher)
+    return blocker
+
+
 class TestCoalescing:
     def test_concurrent_duplicates_solved_once(self, closing):
         get_registry().reset()
-        batcher = SolveBatcher(cache=None, batch_window=0.5)
+        batcher = SolveBatcher(cache=None)
         closing(batcher)
         problem = small_problem()
+        blocker = hold_worker(batcher, delay=1.0)
         clients = 6
         barrier = threading.Barrier(clients)
         metas, errors = [], []
@@ -94,8 +115,9 @@ class TestCoalescing:
         threads = [threading.Thread(target=client) for _ in range(clients)]
         for thread in threads:
             thread.start()
-        for thread in threads:
+        for thread in threads + [blocker]:
             thread.join(timeout=30)
+        assert not any(t.is_alive() for t in threads + [blocker])
         assert not errors
         assert len(metas) == clients
         wires = {schemas.canonical_json(wire) for wire, _ in metas}
@@ -110,8 +132,9 @@ class TestCoalescing:
 
 class TestBackpressure:
     def test_queue_full_raises_overloaded(self, closing):
-        batcher = SolveBatcher(cache=None, max_queue=1, batch_window=0.5)
+        batcher = SolveBatcher(cache=None, max_queue=1)
         closing(batcher)
+        stall_batches(0.5)  # the occupant stays in flight
         admitted = threading.Event()
         finished = []
 
@@ -134,8 +157,9 @@ class TestBackpressure:
         assert finished  # the occupant still got its answer
 
     def test_submit_timeout(self, closing):
-        batcher = SolveBatcher(cache=None, batch_window=1.0)
+        batcher = SolveBatcher(cache=None)
         closing(batcher)
+        stall_batches(1.0)
         with pytest.raises(TimeoutError):
             batcher.submit(small_problem(), "greedy", timeout=0.05)
 
@@ -149,13 +173,15 @@ class TestCancellation:
         and nothing lands in the cache for it."""
         get_registry().reset()
         cache = ScheduleCache(directory=tmp_path)
-        batcher = SolveBatcher(cache=cache, batch_window=0.4)
+        batcher = SolveBatcher(cache=cache)
         closing(batcher)
         problem = small_problem()
+        blocker = hold_worker(batcher, delay=0.4)
         with pytest.raises(TimeoutError):
-            # Times out while the worker is still lingering in the
-            # batch-collection window.
+            # Times out while still queued behind the stalled batch.
             batcher.submit(problem, "greedy", timeout=0.05)
+        blocker.join(timeout=30)
+        assert not blocker.is_alive()
         assert (
             get_registry().sample_value("repro_server_cancelled_total") == 1
         )
@@ -171,8 +197,9 @@ class TestCancellation:
     def test_cancelled_member_does_not_fail_the_batch(self, closing):
         """Live members of a batch still get answers when another
         member's submitter timed out and left."""
-        batcher = SolveBatcher(cache=None, batch_window=0.3)
+        batcher = SolveBatcher(cache=None)
         closing(batcher)
+        blocker = hold_worker(batcher, delay=0.3)
         survivor = []
 
         def patient_client():
@@ -186,6 +213,8 @@ class TestCancellation:
         with pytest.raises(TimeoutError):
             batcher.submit(small_problem(sensors=5), "greedy", timeout=0.05)
         thread.join(timeout=30)
+        blocker.join(timeout=30)
+        assert not blocker.is_alive()
         assert survivor and survivor[0].schedule
 
 
@@ -200,7 +229,7 @@ class TestDrain:
         ``repro_server_drain_incomplete_total``.
         """
         get_registry().reset()
-        batcher = SolveBatcher(cache=None, batch_window=0.0)
+        batcher = SolveBatcher(cache=None)
         closing(batcher)
         injector.install(
             FaultPlan(
@@ -251,7 +280,7 @@ class TestDrain:
             batcher.submit(small_problem(), "greedy")
 
     def test_clean_close_reports_zero_leaked(self):
-        batcher = SolveBatcher(cache=None, batch_window=0.0)
+        batcher = SolveBatcher(cache=None)
         result, _ = batcher.submit(small_problem(), "greedy")
         assert result.schedule
         assert batcher.close() == 0
@@ -260,7 +289,7 @@ class TestDrain:
 
 class TestLifecycle:
     def test_closed_batcher_rejects_new_work(self):
-        batcher = SolveBatcher(cache=None, batch_window=0.0)
+        batcher = SolveBatcher(cache=None)
         batcher.close()
         with pytest.raises(BatcherClosedError):
             batcher.submit(small_problem(), "greedy")
@@ -268,7 +297,7 @@ class TestLifecycle:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_queue": 0}, {"max_batch": 0}, {"batch_window": -1.0}],
+        [{"max_queue": 0}, {"max_batch": 0}],
     )
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):

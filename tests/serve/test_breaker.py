@@ -114,7 +114,6 @@ class TestServiceDegradation:
             retry_attempts=1,
             breaker_threshold=2,
             breaker_recovery=60.0,
-            batch_window=0.0,
         )
         injector.install(
             FaultPlan(specs=(FaultSpec(site="solve", action="error"),))
@@ -147,7 +146,6 @@ class TestServiceDegradation:
             retry_attempts=1,
             breaker_threshold=1,
             breaker_recovery=60.0,
-            batch_window=0.0,
         )
         injector.install(
             FaultPlan(specs=(FaultSpec(site="solve", action="error"),))
@@ -172,7 +170,6 @@ class TestServiceDegradation:
             breaker_threshold=2,
             breaker_recovery=60.0,
             degrade=False,
-            batch_window=0.0,
         )
         injector.install(
             FaultPlan(specs=(FaultSpec(site="solve", action="error"),))
@@ -197,7 +194,6 @@ class TestServiceDegradation:
             breaker_threshold=1,
             breaker_recovery=60.0,
             degraded_max_sensors=0,  # stale cache is the only fallback
-            batch_window=0.0,
         )
         warm = solve_body(sensors=7)
         status, first, _ = client.post("/v1/solve", warm)
@@ -226,7 +222,7 @@ class TestServiceDegradation:
 
     def test_validation_errors_never_trip_the_breaker(self, make_service):
         service, client = make_service(
-            use_cache=False, breaker_threshold=1, batch_window=0.0
+            use_cache=False, breaker_threshold=1
         )
         for _ in range(3):
             status, _, _ = client.post("/v1/solve", {"problem": "nonsense"})

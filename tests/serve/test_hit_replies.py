@@ -25,7 +25,7 @@ from repro.runtime.cache import ScheduleCache
 from repro.serve import schemas
 from repro.serve.batcher import SolveBatcher
 
-from .conftest import solve_body
+from .conftest import solve_body, stall_batches, wait_until_solving
 
 
 @pytest.fixture
@@ -217,8 +217,16 @@ class TestBypasses:
     def test_batch_path_and_coalesced_replies_are_not_remembered(
         self, make_service
     ):
-        service, client = make_service(batch_window=0.25)
+        service, client = make_service()
         body = solve_body(sensors=10)
+        # A stalled batch of another instance holds the worker, so the
+        # six duplicates queue up and form the next batch together.
+        stall_batches(0.5)
+        blocker = threading.Thread(
+            target=client.post, args=("/v1/solve", solve_body(sensors=9))
+        )
+        blocker.start()
+        wait_until_solving(service.batcher)
         clients = 6
         barrier = threading.Barrier(clients)
         responses = []
@@ -230,9 +238,9 @@ class TestBypasses:
         threads = [threading.Thread(target=one) for _ in range(clients)]
         for thread in threads:
             thread.start()
-        for thread in threads:
+        for thread in threads + [blocker]:
             thread.join(timeout=60)
-        assert not any(thread.is_alive() for thread in threads)
+        assert not any(thread.is_alive() for thread in threads + [blocker])
         assert [status for status, _, _ in responses] == [200] * clients
         fast_hits = sum(
             1
@@ -270,7 +278,7 @@ class TestConcurrency:
         nothing raises, the memo stays within the cache's capacity, and
         no body is answered with another body's reply."""
         cache = ScheduleCache(capacity=2)
-        batcher = SolveBatcher(cache=cache, batch_window=0.0)
+        batcher = SolveBatcher(cache=cache)
         bodies = 3
         errors = []
 

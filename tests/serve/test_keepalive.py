@@ -19,7 +19,7 @@ import pytest
 
 from repro.serve.handlers import ServiceRequestHandler
 
-from .conftest import solve_body
+from .conftest import solve_body, stall_batches
 
 
 class _CountingWriter:
@@ -126,11 +126,10 @@ class TestOneWritePerReply:
         assert fresh == hit
 
     def test_overload_429_carries_retry_after(self, keepalive):
-        # One in-flight slot held open by a long batch window: the
-        # keep-alive request behind it is shed at the door.
-        service, client, exchange = keepalive(
-            max_queue=1, batch_window=1.0, use_cache=False
-        )
+        # One in-flight slot held by a stalled batch: the keep-alive
+        # request behind it is shed at the door.
+        service, client, exchange = keepalive(max_queue=1, use_cache=False)
+        stall_batches(1.0)
         holder = threading.Thread(
             target=client.post, args=("/v1/solve", solve_body(sensors=5))
         )
@@ -198,3 +197,53 @@ class TestOversizedBody:
         response, payload, _ = exchange("GET", "/healthz")
         assert response.status == 200
         assert json.loads(payload)["status"] == "ok"
+
+
+def _expect_100_exchange(service, length, body=b""):
+    """POST ``/v1/solve`` with ``Expect: 100-continue`` over a raw
+    socket, declaring ``length`` body bytes and sending ``body`` only
+    after an interim ``100``.  Returns every byte the server sent
+    before it closed the connection or went quiet."""
+    head = (
+        "POST /v1/solve HTTP/1.1\r\n"
+        "Host: localhost\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n"
+        "Expect: 100-continue\r\n"
+        "Connection: close\r\n\r\n"
+    ).encode("ascii")
+    with socket.create_connection(service.address, timeout=10) as sock:
+        sock.sendall(head)
+        received = sock.recv(65536)
+        if received.startswith(b"HTTP/1.1 100 ") and body:
+            sock.sendall(body)
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    return received
+
+
+class TestExpectContinue:
+    def test_over_limit_gets_413_and_no_100(self, make_service):
+        """A declared body over ``max_body_bytes`` is refused before the
+        client sends it: the structured 413 with ``Connection: close``,
+        and never a ``100 Continue`` that invites the body."""
+        service, _ = make_service(max_body_bytes=64)
+        received = _expect_100_exchange(service, 2_000_000)
+        assert b"HTTP/1.1 100" not in received
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(payload)["error"]["code"] == "body-too-large"
+
+    def test_within_limit_continues_and_solves(self, make_service):
+        service, _ = make_service()
+        body = json.dumps(solve_body()).encode("utf-8")
+        received = _expect_100_exchange(service, len(body), body)
+        interim, _, final = received.partition(b"\r\n\r\n")
+        assert interim.startswith(b"HTTP/1.1 100 ")
+        head, _, payload = final.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(payload)["result"]["total_utility"] > 0

@@ -17,7 +17,7 @@ from repro.core.solver import solve
 from repro.obs.registry import get_registry
 from repro.serve import schemas
 
-from .conftest import solve_body
+from .conftest import solve_body, stall_batches
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -167,11 +167,10 @@ class TestErrorHandling:
 
 class TestOverload:
     def test_queue_full_returns_429(self, make_service):
-        # A queue of 2 and a long batch window: of 8 concurrent
+        # A queue of 2 and a stalled first batch: of 8 concurrent
         # distinct instances, at most 2 can be in flight at once.
-        _, client = make_service(
-            max_queue=2, batch_window=0.5, use_cache=False
-        )
+        _, client = make_service(max_queue=2, use_cache=False)
+        stall_batches(0.5)
         clients = 8
         barrier = threading.Barrier(clients)
         outcomes = []
@@ -205,12 +204,17 @@ class TestCoalescing:
     def test_concurrent_duplicate_clients_cost_one_solve(self, make_service):
         """>= 8 concurrent clients posting the same instance must be
         answered by a single solver invocation: one completed greedy
-        solve, whichever path (serial or batch kernel) ran it."""
+        solve, whichever path (serial or batch kernel) ran it.
+
+        The first batch is stalled, so the first request solves alone
+        and the rest queue behind it: they coalesce onto one cache
+        lookup in the next batch, or hit the cache at admission."""
         registry = get_registry()
         body = solve_body(sensors=10)
 
         registry.reset()
-        service, client = make_service(batch_window=0.25)
+        service, client = make_service()
+        stall_batches(0.25)
         clients = 8
         barrier = threading.Barrier(clients)
         responses = []
@@ -261,7 +265,8 @@ class TestCoalescing:
         assert free_riders == clients - 1
         # Full payloads differ only in the cache/coalesced metadata:
         # (miss, false) for the representative, (hit, true) for batch
-        # riders, (hit, false) for stragglers on the admission fast
+        # riders, (hit, false) for the next batch's cache-hit
+        # representative and for stragglers on the admission fast
         # path.  The result object itself is identical (asserted above).
         assert len(payloads) <= 3
 

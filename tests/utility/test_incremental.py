@@ -122,18 +122,24 @@ class TestEvaluatorSemantics:
         assert evaluator.gain(999) == 0.0
         assert evaluator.loss(999) == 0.0
 
-    def test_gains_batch_equals_scalar(self):
+    def test_target_gain_sums_child_slot_factors(self):
+        """The target-system kernel's expression: ``p * slot_factor()``
+        of each covering target's child, summed in ``targets_of`` order,
+        is the scalar gain bit for bit."""
         rng = np.random.default_rng(17)
         system = random_target_system(12, 5, rng)
         evaluator = make_evaluator(system)
         for v in (1, 6, 9):
             evaluator.add(v)
-        candidates = list(range(12))
-        batched = evaluator.gains(candidates)
-        assert batched.dtype == np.float64
-        assert batched.shape == (12,)
-        for i, v in enumerate(candidates):
-            assert batched[i] == evaluator.gain(v)
+        children = evaluator.children
+        for v in range(12):
+            expected = 0.0
+            if v not in evaluator.active:
+                for tid in system.targets_of(v):
+                    p = system.target_utility(tid).probabilities[v]
+                    expected += p * children[tid].slot_factor()
+            assert evaluator.gain(v) == expected
+            assert evaluator.gain(v) == system.marginal(v, evaluator.active)
 
     def test_snapshot_restore_is_bit_exact(self):
         rng = np.random.default_rng(23)
@@ -376,7 +382,7 @@ class DeferredChainMachine(RuleBasedStateMachine):
         assert self.ev.active is token[0]
         self.built = self.ev._built
 
-    @rule(first=st.sampled_from(("active", "value", "loss", "gains")))
+    @rule(first=st.sampled_from(("active", "value", "loss", "gain")))
     def read(self, first):
         ev, fn, model = self.ev, self.fn, self.model
         if first == "value":
@@ -384,17 +390,14 @@ class DeferredChainMachine(RuleBasedStateMachine):
         elif first == "loss":
             for v in PROBES:
                 assert _same(ev.loss(v), fn.decrement(v, model))
-        elif first == "gains":
-            gains = ev.gains(list(PROBES))
-            for i, v in enumerate(PROBES):
-                assert _same(gains[i], fn.marginal(v, model))
+        elif first == "gain":
+            for v in PROBES:
+                assert _same(ev.gain(v), fn.marginal(v, model))
         active = ev.active
         assert list(active) == list(model)
         assert _same(ev.value(), fn.value(model))
-        gains = ev.gains(list(PROBES))
-        for i, v in enumerate(PROBES):
+        for v in PROBES:
             marginal = fn.marginal(v, model)
-            assert _same(gains[i], marginal)
             assert _same(ev.gain(v), marginal)
             assert _same(ev.loss(v), fn.decrement(v, model))
         self.built = ev._built
