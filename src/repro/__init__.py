@@ -21,7 +21,7 @@ implements the full system:
 - :mod:`repro.sim` -- slot-stepped network simulator with exact energy
   accounting, the Sec. V random charging model and event detection.
 - :mod:`repro.policies` -- online activation policies, including the
-  adaptive re-planning policy and the paper's future-work extensions.
+  self-healing wrapper and the paper's future-work extensions.
 - :mod:`repro.analysis` -- statistics and fixed-width report tables.
 - :mod:`repro.runtime` -- parallel solve execution (process worker
   pool) and the content-addressed schedule cache.
@@ -63,11 +63,9 @@ from repro.coverage import (
     DiskSensingModel,
     Point,
     Rectangle,
-    cluster_deployment,
     compute_subregions,
     coverage_matrix,
     coverage_sets,
-    grid_deployment,
     uniform_deployment,
 )
 from repro.energy import Battery, ChargingPeriod, ChargingProfile, NodeState
@@ -132,8 +130,6 @@ __all__ = [
     "Deployment",
     "DiskSensingModel",
     "uniform_deployment",
-    "grid_deployment",
-    "cluster_deployment",
     "coverage_sets",
     "coverage_matrix",
     "compute_subregions",

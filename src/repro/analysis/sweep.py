@@ -134,7 +134,6 @@ def run_sweep(
     workload_fn: Optional[WorkloadFn] = None,
     jobs: Optional[int] = None,
     cache: Optional["ScheduleCache"] = None,
-    timeout: Optional[float] = None,
 ) -> List[SweepRecord]:
     """Run every cell of the grid; returns one record per cell.
 
@@ -169,33 +168,11 @@ def run_sweep(
             num_periods=spec.num_periods,
         )
         tasks.append((problem, cell["method"], cell["seed"]))
-    results, _ = solve_many(tasks, jobs=jobs, cache=cache, timeout=timeout)
+    results, _ = solve_many(tasks, jobs=jobs, cache=cache)
     return [
         SweepRecord(params=cell, result=result)
         for cell, result in zip(cells, results)
     ]
-
-
-def records_to_csv(records: Sequence[SweepRecord]) -> str:
-    """Serialize sweep records to CSV (one row per cell).
-
-    Columns are the union of all rows' keys, ordered by first
-    appearance, so heterogeneous sweeps still export cleanly.
-    """
-    if not records:
-        return ""
-    columns: List[str] = []
-    rows = []
-    for record in records:
-        row = record.as_row()
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-        rows.append(row)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in columns))
-    return "\n".join(lines) + "\n"
 
 
 def pivot(

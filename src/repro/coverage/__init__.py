@@ -30,9 +30,6 @@ from repro.coverage.sensing import (
 )
 from repro.coverage.deployment import (
     Deployment,
-    cluster_deployment,
-    grid_deployment,
-    poisson_deployment,
     uniform_deployment,
 )
 from repro.coverage.matrix import (
@@ -54,9 +51,6 @@ __all__ = [
     "ProbabilisticSensingModel",
     "Deployment",
     "uniform_deployment",
-    "grid_deployment",
-    "cluster_deployment",
-    "poisson_deployment",
     "coverage_sets",
     "coverage_matrix",
     "detection_probabilities",

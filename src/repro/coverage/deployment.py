@@ -101,92 +101,3 @@ def uniform_deployment(
     targets = _uniform_points(region, num_targets, generator)
     return Deployment(region, tuple(sensors), tuple(targets))
 
-
-def grid_deployment(
-    nx: int,
-    ny: int,
-    num_targets: int = 0,
-    region: Rectangle | None = None,
-    jitter: float = 0.0,
-    rng: RngLike = None,
-) -> Deployment:
-    """Sensors on an ``nx x ny`` grid, optionally jittered; targets uniform.
-
-    Grid deployments give predictable overlap structure; useful for
-    tests where coverage sets must be known exactly.
-    """
-    if nx <= 0 or ny <= 0:
-        raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be non-negative, got {jitter}")
-    region = region or Rectangle.square(100.0)
-    generator = make_rng(rng)
-    sensors: List[Point] = []
-    for p in region.grid_points(nx, ny):
-        if jitter > 0:
-            dx, dy = generator.uniform(-jitter, jitter, size=2)
-            candidate = Point(
-                min(max(p.x + float(dx), region.x_min), region.x_max),
-                min(max(p.y + float(dy), region.y_min), region.y_max),
-            )
-        else:
-            candidate = p
-        sensors.append(candidate)
-    targets = _uniform_points(region, num_targets, generator)
-    return Deployment(region, tuple(sensors), tuple(targets))
-
-
-def cluster_deployment(
-    num_clusters: int,
-    sensors_per_cluster: int,
-    num_targets: int = 0,
-    region: Rectangle | None = None,
-    spread: float = 5.0,
-    rng: RngLike = None,
-) -> Deployment:
-    """Sensors in Gaussian clusters around uniform cluster centers.
-
-    Models patchy deployments (sensors dropped in batches), producing
-    highly non-uniform coverage -- a stress case for the scheduler: the
-    greedy scheme must spread cluster members across time-slots to avoid
-    wasted simultaneous coverage.
-    """
-    if num_clusters <= 0 or sensors_per_cluster <= 0:
-        raise ValueError("cluster counts must be positive")
-    if spread < 0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
-    region = region or Rectangle.square(100.0)
-    generator = make_rng(rng)
-    centers = _uniform_points(region, num_clusters, generator)
-    sensors: List[Point] = []
-    for center in centers:
-        offsets = generator.normal(0.0, spread, size=(sensors_per_cluster, 2))
-        for dx, dy in offsets:
-            sensors.append(
-                Point(
-                    min(max(center.x + float(dx), region.x_min), region.x_max),
-                    min(max(center.y + float(dy), region.y_min), region.y_max),
-                )
-            )
-    targets = _uniform_points(region, num_targets, generator)
-    return Deployment(region, tuple(sensors), tuple(targets))
-
-
-def poisson_deployment(
-    intensity: float,
-    num_targets: int = 0,
-    region: Rectangle | None = None,
-    rng: RngLike = None,
-) -> Deployment:
-    """Poisson point process with the given intensity (sensors per unit area).
-
-    The sensor *count* is Poisson-distributed; positions are uniform.
-    """
-    if intensity < 0:
-        raise ValueError(f"intensity must be non-negative, got {intensity}")
-    region = region or Rectangle.square(100.0)
-    generator = make_rng(rng)
-    count = int(generator.poisson(intensity * region.area))
-    sensors = _uniform_points(region, count, generator)
-    targets = _uniform_points(region, num_targets, generator)
-    return Deployment(region, tuple(sensors), tuple(targets))

@@ -18,7 +18,7 @@ period (rho <= 1).
 """
 
 from repro.energy.battery import Battery
-from repro.energy.states import IllegalTransition, NodeState, SensorStateMachine
+from repro.energy.states import IllegalTransition, NodeState
 from repro.energy.period import ChargingPeriod, normalize_ratio
 from repro.energy.profiles import (
     PAPER_SUNNY,
@@ -30,7 +30,6 @@ from repro.energy.profiles import (
 __all__ = [
     "Battery",
     "NodeState",
-    "SensorStateMachine",
     "IllegalTransition",
     "ChargingPeriod",
     "normalize_ratio",

@@ -4,8 +4,8 @@ The paper measures one (T_d, T_r) pattern per weather condition and
 "may choose different pattern each day for different weather
 condition".  This module is the catalogue: a profile bundles the
 measured discharge/recharge times with the weather they were measured
-under, and the adaptive policy (:mod:`repro.policies.adaptive`) swaps
-profiles as its ρ-estimator detects weather changes.
+under, and ``examples/weather_adaptive.py`` looks up each day's profile
+to compare against the period its harvest estimator recovers.
 
 Measured anchor (Sec. VI-A, sunny): T_d = 15 min, T_r = 45 min, so
 rho = 3 and the period is 4 slots of 15 minutes -- exactly the paper's

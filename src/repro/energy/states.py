@@ -20,6 +20,9 @@ Legal transitions:
 
 Anything else raises :class:`IllegalTransition`, so simulator bugs
 surface immediately instead of silently corrupting energy accounting.
+The simulator enforces this table in
+:func:`~repro.sim.soa.require_transition`, which every state change of
+:class:`~repro.sim.node.MachineView` passes through.
 """
 
 from __future__ import annotations
@@ -46,77 +49,3 @@ _ALLOWED = {
     (NodeState.READY, NodeState.ACTIVE),
 }
 
-
-class SensorStateMachine:
-    """Tracks one node's state and enforces the legal lifecycle."""
-
-    def __init__(self, initial: NodeState = NodeState.READY, transitions: int = 0):
-        if transitions < 0:
-            raise ValueError(f"transitions must be >= 0, got {transitions}")
-        self._state = initial
-        self._transitions = transitions
-
-    @property
-    def state(self) -> NodeState:
-        return self._state
-
-    @property
-    def transitions(self) -> int:
-        """Number of state changes so far (duty-cycle diagnostics)."""
-        return self._transitions
-
-    @property
-    def is_active(self) -> bool:
-        return self._state is NodeState.ACTIVE
-
-    @property
-    def is_ready(self) -> bool:
-        return self._state is NodeState.READY
-
-    @property
-    def is_passive(self) -> bool:
-        return self._state is NodeState.PASSIVE
-
-    def transition(self, new_state: NodeState) -> None:
-        """Move to ``new_state``; raise :class:`IllegalTransition` if illegal.
-
-        Self-transitions are no-ops (staying in a state is always fine).
-        """
-        if new_state is self._state:
-            return
-        if (self._state, new_state) not in _ALLOWED:
-            raise IllegalTransition(
-                f"cannot move {self._state.value} -> {new_state.value}"
-            )
-        self._state = new_state
-        self._transitions += 1
-
-    def _require(self, expected: NodeState, action: str) -> None:
-        if self._state is not expected:
-            raise IllegalTransition(
-                f"{action} requires {expected.value}, but node is "
-                f"{self._state.value}"
-            )
-
-    def activate(self) -> None:
-        """READY -> ACTIVE (the scheduler turning the node on)."""
-        self._require(NodeState.READY, "activate")
-        self.transition(NodeState.ACTIVE)
-
-    def deplete(self) -> None:
-        """ACTIVE -> PASSIVE (battery exhausted)."""
-        self._require(NodeState.ACTIVE, "deplete")
-        self.transition(NodeState.PASSIVE)
-
-    def park(self) -> None:
-        """ACTIVE -> READY (deactivated with energy remaining)."""
-        self._require(NodeState.ACTIVE, "park")
-        self.transition(NodeState.READY)
-
-    def fully_charged(self) -> None:
-        """PASSIVE -> READY (battery recharged to capacity)."""
-        self._require(NodeState.PASSIVE, "fully_charged")
-        self.transition(NodeState.READY)
-
-    def __repr__(self) -> str:
-        return f"SensorStateMachine(state={self._state.value})"

@@ -23,12 +23,6 @@ from repro.io.serialization import (
     utility_from_dict,
     utility_to_dict,
 )
-from repro.io.files import (
-    load_schedule,
-    save_schedule,
-    save_sweep_csv,
-    save_trace_csv,
-)
 from repro.io.checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -37,10 +31,6 @@ __all__ = [
     "utility_to_dict",
     "utility_from_dict",
     "result_summary",
-    "save_schedule",
-    "load_schedule",
-    "save_sweep_csv",
-    "save_trace_csv",
     "save_checkpoint",
     "load_checkpoint",
 ]

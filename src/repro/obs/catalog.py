@@ -231,7 +231,7 @@ STANDARD_METRICS: Tuple[Tuple[str, str, Tuple[str, ...], str], ...] = (
         "repro_batched_fallback_total",
         ("reason",),
         "Batched-routing fallbacks to the serial path by reason "
-        "(rho/method/forced-pool)",
+        "(rho/method)",
     ),
     (
         "counter",

@@ -4,16 +4,13 @@ A policy is asked, at the beginning of every time-slot, which sensors
 to command active (paper Sec. II-C: "at the beginning of every
 time-slot t, we will make decision on which sensors to be activated").
 Policies range from verbatim execution of a precomputed schedule to
-adaptive re-planning as the harvest estimate shifts:
+re-planning around failed nodes:
 
 - :class:`~repro.policies.base.ActivationPolicy` -- the interface.
 - :class:`~repro.policies.schedule_policy.SchedulePolicy` -- execute a
   fixed (periodic or unrolled) schedule.
 - :class:`~repro.policies.greedy_periodic.GreedyPeriodicPolicy` --
   plan with Algorithm 1 once, repeat each period (Thm. 4.3).
-- :class:`~repro.policies.adaptive.AdaptiveReplanPolicy` -- re-estimate
-  rho over a sliding window (the "2-hour" estimator of Sec. I/VI-A)
-  and re-plan when the charging pattern changes.
 - :class:`~repro.policies.partial_charge.PartialChargeGreedyPolicy` --
   the Sec. VIII future-work extension activating partially recharged
   sensors.
@@ -27,7 +24,6 @@ adaptive re-planning as the harvest estimate shifts:
 from repro.policies.base import ActivationPolicy
 from repro.policies.schedule_policy import SchedulePolicy
 from repro.policies.greedy_periodic import GreedyPeriodicPolicy
-from repro.policies.adaptive import AdaptiveReplanPolicy
 from repro.policies.partial_charge import PartialChargeGreedyPolicy
 from repro.policies.heterogeneous import HeterogeneousGreedyPolicy
 from repro.policies.threshold import (
@@ -41,7 +37,6 @@ __all__ = [
     "ActivationPolicy",
     "SchedulePolicy",
     "GreedyPeriodicPolicy",
-    "AdaptiveReplanPolicy",
     "PartialChargeGreedyPolicy",
     "HeterogeneousGreedyPolicy",
     "ThresholdPolicy",

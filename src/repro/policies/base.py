@@ -3,7 +3,7 @@
 A policy ``X`` in the paper's notation maps every time-slot to the set
 of sensors commanded active (Sec. II-D).  The simulator calls
 :meth:`decide` at the start of each slot and :meth:`observe` after the
-slot resolves, so stateful policies (adaptive re-planning, estimators)
+slot resolves, so stateful policies (self-healing, estimators)
 can learn from what actually happened -- e.g. refused activations
 reveal that the assumed charging pattern was wrong.
 """

@@ -11,8 +11,8 @@ with the hardware and stop re-solving identical instances:
   store (write-tmp/fsync/rename, the :mod:`repro.io.checkpoint`
   discipline), with hit/miss/eviction counters;
 - :mod:`repro.runtime.pool` -- a ``ProcessPoolExecutor`` task farm
-  with bounded backpressure, per-task timeouts and graceful
-  degradation to serial execution;
+  with bounded backpressure and graceful degradation to serial
+  execution;
 - :mod:`repro.runtime.executor` -- the front door:
   :func:`~repro.runtime.executor.solve_cached` and
   :func:`~repro.runtime.executor.solve_many` (dedup + cache + pool).
@@ -40,7 +40,6 @@ from repro.runtime.fingerprint import (
 )
 from repro.runtime.pool import (
     TaskTelemetry,
-    TaskTimeoutError,
     run_tasks,
     summarize_telemetry,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "problem_to_dict",
     "solve_fingerprint",
     "TaskTelemetry",
-    "TaskTimeoutError",
     "run_tasks",
     "summarize_telemetry",
 ]

@@ -69,7 +69,7 @@ SolveTask = Tuple[SchedulingProblem, str, Optional[int]]
 
 _BATCH_FALLBACK_HELP = (
     "Batched-routing fallbacks to the serial path by reason "
-    "(rho/method/forced-pool)"
+    "(rho/method)"
 )
 
 #: Dedup-group callback: ``(fingerprint-or-None, member indices,
@@ -125,10 +125,7 @@ def solve_many(
     tasks: Sequence[SolveTask],
     jobs: Optional[int] = None,
     cache: Optional[ScheduleCache] = None,
-    timeout: Optional[float] = None,
     on_group: Optional[GroupCallback] = None,
-    on_task: Optional[Callable[[TaskTelemetry], None]] = None,
-    auto_fallback: bool = True,
     retry: Optional[RetryPolicy] = None,
     deadline: Optional[float] = None,
 ) -> Tuple[List[SolveResult], List[TaskTelemetry]]:
@@ -140,14 +137,12 @@ def solve_many(
     temperature.
 
     ``on_group`` is invoked once per dedup group after the batch
-    resolves (see :data:`GroupCallback`); ``on_task`` is forwarded to
-    the pool and fires as each unique solve completes -- both are how
-    the serving layer observes coalescing and live progress without
-    re-deriving the fingerprinting here.
+    resolves (see :data:`GroupCallback`); it is how the serving layer
+    observes coalescing without re-deriving the fingerprinting here.
 
     ``retry`` re-runs the *unsolved remainder* after a transient
     infrastructure failure (:func:`repro.runtime.retry.is_retryable`:
-    broken pools, task timeouts, injected I/O faults) with exponential
+    broken pools, injected I/O faults) with exponential
     backoff + seeded jitter; deterministic solver errors are never
     retried.  ``deadline`` (absolute ``time.monotonic()``) bounds the
     whole call including backoff sleeps -- a retry that cannot finish
@@ -157,22 +152,16 @@ def solve_many(
     """
     tasks = list(tasks)
     with tracing.span("solve_many", tasks=len(tasks), jobs=jobs or 1):
-        return _solve_many(
-            tasks, jobs, cache, timeout, on_group, on_task, auto_fallback,
-            retry, deadline,
-        )
+        return _solve_many(tasks, jobs, cache, on_group, retry, deadline)
 
 
 def _solve_many(
     tasks: List[SolveTask],
     jobs: Optional[int],
     cache: Optional[ScheduleCache],
-    timeout: Optional[float],
-    on_group: Optional[GroupCallback] = None,
-    on_task: Optional[Callable[[TaskTelemetry], None]] = None,
-    auto_fallback: bool = True,
-    retry: Optional[RetryPolicy] = None,
-    deadline: Optional[float] = None,
+    on_group: Optional[GroupCallback],
+    retry: Optional[RetryPolicy],
+    deadline: Optional[float],
 ) -> Tuple[List[SolveResult], List[TaskTelemetry]]:
     results: List[Optional[SolveResult]] = [None] * len(tasks)
     telemetry: List[Optional[TaskTelemetry]] = [None] * len(tasks)
@@ -213,13 +202,7 @@ def _solve_many(
     # same-shape greedy groups ride the batched kernels, the remainder
     # goes to the worker pool.
     payloads, pool_telemetry = _execute_unique(
-        [tasks[i] for i in to_solve],
-        jobs=jobs,
-        timeout=timeout,
-        on_task=on_task,
-        auto_fallback=auto_fallback,
-        retry=retry,
-        deadline=deadline,
+        [tasks[i] for i in to_solve], jobs=jobs, retry=retry, deadline=deadline
     )
     for position, index in enumerate(to_solve):
         problem = tasks[index][0]
@@ -290,14 +273,10 @@ def _batch_fallback(reason: str) -> None:
 
 
 def _plan_batches(
-    tasks: List[SolveTask], auto_fallback: bool
+    tasks: List[SolveTask],
 ) -> Tuple[List[List[int]], List[int]]:
     """Split unique work into batched groups and serial positions.
 
-    Batched routing engages only when ``auto_fallback`` is on --
-    ``auto_fallback=False`` means "force the worker pool regardless"
-    (tests pinning parallel execution rely on it), which the batch
-    kernels must respect just as the pool's own serial downgrade does.
     Eligible greedy tasks are grouped by ``(family, slots_per_period)``
     and every group rides the batch kernels, a group of one included:
     the width-1 kernel beats the serial lazy greedy at serving sizes
@@ -305,10 +284,6 @@ def _plan_batches(
     (:func:`~repro.batched.batch.family_of` is ``None``) solves serially
     by design, not as a degradation, so it counts no fallback.
     """
-    if not auto_fallback:
-        if tasks:
-            _batch_fallback("forced-pool")
-        return [], list(range(len(tasks)))
     groups: Dict[Tuple[str, int], List[int]] = {}
     serial: List[int] = []
     for position, (problem, method, _seed) in enumerate(tasks):
@@ -331,9 +306,7 @@ def _plan_batches(
 
 
 def _run_batched_group(
-    group_tasks: List[SolveTask],
-    on_task: Optional[Callable[[TaskTelemetry], None]],
-    deadline: Optional[float],
+    group_tasks: List[SolveTask], deadline: Optional[float]
 ) -> Tuple[List[Dict[str, Any]], List[TaskTelemetry]]:
     """Solve one same-shape group through the batch kernels.
 
@@ -348,27 +321,22 @@ def _run_batched_group(
     results = solve_batch([t[0] for t in group_tasks])
     share = (time.perf_counter() - start) / len(group_tasks)
     payloads = [result_to_payload(result) for result in results]
-    telemetry = []
-    for position in range(len(group_tasks)):
-        record = TaskTelemetry(
+    telemetry = [
+        TaskTelemetry(
             index=position,
             wall_seconds=share,
             worker=_pid(),
             parallel=False,
             batched=True,
         )
-        telemetry.append(record)
-        if on_task is not None:
-            on_task(record)
+        for position in range(len(group_tasks))
+    ]
     return payloads, telemetry
 
 
 def _execute_unique(
     tasks: List[SolveTask],
     jobs: Optional[int],
-    timeout: Optional[float],
-    on_task: Optional[Callable[[TaskTelemetry], None]],
-    auto_fallback: bool,
     retry: Optional[RetryPolicy],
     deadline: Optional[float],
 ) -> Tuple[List[Dict[str, Any]], List[TaskTelemetry]]:
@@ -378,15 +346,13 @@ def _execute_unique(
     failure inside a batch kernel group is retried exactly as a pool
     failure would be.
     """
-    batched_groups, serial_positions = _plan_batches(tasks, auto_fallback)
+    batched_groups, serial_positions = _plan_batches(tasks)
     payloads: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
     telemetry: List[Optional[TaskTelemetry]] = [None] * len(tasks)
     for group in batched_groups:
         group_tasks = [tasks[position] for position in group]
         group_payloads, group_records = _run_with_retry(
-            lambda tasks_=group_tasks: _run_batched_group(
-                tasks_, on_task, deadline
-            ),
+            lambda tasks_=group_tasks: _run_batched_group(tasks_, deadline),
             retry=retry,
             deadline=deadline,
         )
@@ -399,13 +365,7 @@ def _execute_unique(
         remainder = [tasks[position] for position in serial_positions]
         pool_payloads, pool_records = _run_with_retry(
             lambda: run_tasks(
-                _solve_task,
-                remainder,
-                jobs=jobs,
-                timeout=timeout,
-                on_task=on_task,
-                auto_fallback=auto_fallback,
-                deadline=deadline,
+                _solve_task, remainder, jobs=jobs, deadline=deadline
             ),
             retry=retry,
             deadline=deadline,

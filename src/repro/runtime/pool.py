@@ -6,9 +6,8 @@ failure handling is not optional:
 
 - **bounded backpressure**: at most ``2 * jobs`` tasks are in flight,
   so a million-cell sweep never materializes a million pickled futures;
-- **per-task timeouts**: a wedged worker (e.g. a pathological LP) stops
-  costing wall time; the pool is torn down and the remaining tasks run
-  serially in the parent;
+- **no pool that cannot win**: one usable CPU, or a batch cheaper than
+  the worker spawns, runs serially;
 - **graceful degradation**: anything that makes the pool unusable --
   unpicklable closures, a fork-bombed machine killing workers, a
   missing ``multiprocessing`` primitive in exotic sandboxes -- downgrades
@@ -94,10 +93,6 @@ class TaskTelemetry:
         }
 
 
-class TaskTimeoutError(TimeoutError):
-    """A pooled task exceeded its per-task timeout."""
-
-
 def _run_timed(fn: Callable[[Any], Any], item: Any) -> Tuple[Any, float, int]:
     """Worker-side wrapper: result + wall time + pid travel together."""
     # Chaos hook: this wrapper only ever runs inside a pool worker, so
@@ -115,7 +110,6 @@ def _run_serial(
     indices: Sequence[int],
     results: List[Any],
     telemetry: List[Optional[TaskTelemetry]],
-    on_task: Optional[Callable[[TaskTelemetry], None]] = None,
     deadline: Optional[float] = None,
 ) -> None:
     for index in indices:
@@ -129,46 +123,31 @@ def _run_serial(
             parallel=False,
         )
         _observe_task(telemetry[index])
-        if on_task is not None:
-            on_task(telemetry[index])
 
 
 def run_tasks(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    on_task: Optional[Callable[[TaskTelemetry], None]] = None,
-    auto_fallback: bool = True,
     deadline: Optional[float] = None,
 ) -> Tuple[List[Any], List[TaskTelemetry]]:
     """Apply ``fn`` to every item, farming across ``jobs`` processes.
 
     Returns ``(results, telemetry)`` with both lists in submission
-    order.  ``jobs`` of ``None``/``0``/``1`` runs serially in-process;
-    ``timeout`` bounds each task's wall time in the pool (a timeout
-    tears the pool down and finishes the remainder serially, so the
-    call still returns complete results).
+    order.  ``jobs`` of ``None``/``0``/``1`` runs serially in-process.
 
     ``deadline`` is an absolute ``time.monotonic()`` bound on the whole
     call: once it passes, the run raises
     :class:`~repro.runtime.retry.DeadlineExceededError` -- from the
     serial loop between tasks, or from the pool path with work still in
     flight (the pool is abandoned, not joined: a wedged worker must not
-    hold the caller's answer hostage).  Unlike a per-task ``timeout``,
-    blowing the deadline never falls back to serial -- nobody is
-    waiting for those results anymore.
+    hold the caller's answer hostage).  Blowing the deadline never falls
+    back to serial -- nobody is waiting for those results anymore.
 
-    ``on_task`` (parent-side, may run on the pool's bookkeeping thread)
-    fires as each task completes, in completion -- not submission --
-    order; serving layers use it for liveness reporting.
-
-    ``auto_fallback`` (default on) declines the pool when it cannot
-    win: with one usable CPU, or when a serial probe of the first
-    task shows the whole batch costs less than spawning the workers
-    would.  Each downgrade emits a ``pool.fallback`` event and bumps
-    ``repro_pool_fallbacks_total``.  Pass ``auto_fallback=False`` to
-    force the pool regardless (tests pinning parallel execution do).
+    The pool is declined when it cannot win: with one usable CPU, or
+    when a serial probe of the first task shows the whole batch costs
+    less than spawning the workers would.  Each downgrade emits a
+    ``pool.fallback`` event and bumps ``repro_pool_fallbacks_total``.
 
     Exceptions raised by ``fn`` itself propagate unchanged -- a wrong
     task must fail loudly, only *pool infrastructure* failures degrade
@@ -179,67 +158,47 @@ def run_tasks(
     telemetry: List[Optional[TaskTelemetry]] = [None] * len(items)
     workers = int(jobs or 1)
     if workers <= 1 or len(items) <= 1:
+        _run_serial(fn, items, range(len(items)), results, telemetry, deadline)
+        return results, telemetry  # type: ignore[return-value]
+
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (len(affinity(0)) if affinity else os.cpu_count() or 1) <= 1:
+        # Worker processes would time-share one usable core (taskset
+        # and cpusets shrink the affinity set below cpu_count()).
+        _fall_back("single-core", len(items), workers)
+        _run_serial(fn, items, range(len(items)), results, telemetry, deadline)
+        return results, telemetry  # type: ignore[return-value]
+    # Probe the first task serially; if the remaining work costs less
+    # than amortizing the worker spawns, stay serial.
+    _run_serial(fn, items, [0], results, telemetry, deadline)
+    probe_wall = telemetry[0].wall_seconds  # type: ignore[union-attr]
+    rest = len(items) - 1
+    if probe_wall * rest < SPAWN_COST_SECONDS * min(workers, rest):
+        _fall_back("cheap-tasks", len(items), workers)
         _run_serial(
-            fn, items, range(len(items)), results, telemetry, on_task, deadline
+            fn, items, range(1, len(items)), results, telemetry, deadline
         )
         return results, telemetry  # type: ignore[return-value]
 
-    start_index = 0
-    if auto_fallback:
-        affinity = getattr(os, "sched_getaffinity", None)
-        if (len(affinity(0)) if affinity else os.cpu_count() or 1) <= 1:
-            # Worker processes would time-share one usable core (taskset
-            # and cpusets shrink the affinity set below cpu_count()).
-            _fall_back("single-core", len(items), workers)
-            _run_serial(
-                fn, items, range(len(items)), results, telemetry, on_task, deadline
-            )
-            return results, telemetry  # type: ignore[return-value]
-        # Probe the first task serially; if the remaining work costs
-        # less than amortizing the worker spawns, stay serial.
-        _run_serial(fn, items, [0], results, telemetry, on_task, deadline)
-        start_index = 1
-        probe_wall = telemetry[0].wall_seconds  # type: ignore[union-attr]
-        rest = len(items) - 1
-        if probe_wall * rest < SPAWN_COST_SECONDS * min(workers, rest):
-            _fall_back("cheap-tasks", len(items), workers)
-            _run_serial(
-                fn, items, range(1, len(items)), results, telemetry,
-                on_task, deadline,
-            )
-            return results, telemetry  # type: ignore[return-value]
-
-    pending_indices = list(range(start_index, len(items)))
+    pending_indices = list(range(1, len(items)))
     max_in_flight = 2 * workers
     pool: Optional[ProcessPoolExecutor] = None
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
         in_flight: Dict[Any, int] = {}
-        next_up = start_index
+        next_up = 1
         while next_up < len(items) or in_flight:
             while next_up < len(items) and len(in_flight) < max_in_flight:
                 future = pool.submit(_run_timed, fn, items[next_up])
                 in_flight[future] = next_up
                 next_up += 1
-            wait_timeout = timeout
             remaining = remaining_budget(deadline)  # raises once spent
-            if remaining is not None:
-                wait_timeout = (
-                    remaining
-                    if wait_timeout is None
-                    else min(wait_timeout, remaining)
-                )
             done, _ = wait(
-                in_flight, timeout=wait_timeout, return_when=FIRST_COMPLETED
+                in_flight, timeout=remaining, return_when=FIRST_COMPLETED
             )
             if not done:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise DeadlineExceededError(
-                        f"deadline exceeded with {len(in_flight)} "
-                        "tasks in flight"
-                    )
-                raise TaskTimeoutError(
-                    f"task exceeded {timeout}s in the worker pool"
+                raise DeadlineExceededError(
+                    f"deadline exceeded with {len(in_flight)} tasks in flight"
                 )
             for future in done:
                 index = in_flight.pop(future)
@@ -252,8 +211,6 @@ def run_tasks(
                     parallel=True,
                 )
                 _observe_task(telemetry[index])
-                if on_task is not None:
-                    on_task(telemetry[index])
                 pending_indices.remove(index)
         pool.shutdown(wait=True)
     except Exception as error:
@@ -264,12 +221,11 @@ def run_tasks(
             _abandon_pool(pool)
         if isinstance(error, DeadlineExceededError) or _is_task_error(error):
             raise
-        # Pool infrastructure failed (pickling, broken workers, task
-        # timeout, sandbox without sem_open, ...): finish the remaining
-        # tasks serially so the caller still gets complete results.
+        # Pool infrastructure failed (pickling, broken workers, sandbox
+        # without sem_open, ...): finish the remaining tasks serially so
+        # the caller still gets complete results.
         _run_serial(
-            fn, items, list(pending_indices), results, telemetry,
-            on_task, deadline,
+            fn, items, list(pending_indices), results, telemetry, deadline
         )
     return results, telemetry  # type: ignore[return-value]
 
@@ -289,7 +245,7 @@ def _is_task_error(error: BaseException) -> bool:
     fallback re-runs the task and raises the same error from the
     parent.  Misclassifying the other way would turn a recoverable pool
     failure into a crashed run, so the infrastructural set is generous:
-    broken pools, timeouts, pickling failures (lambdas/closures raise
+    broken pools, pickling failures (lambdas/closures raise
     PicklingError or AttributeError at submission), OS-level failures
     and sandboxes lacking multiprocessing primitives.
     """
@@ -300,7 +256,6 @@ def _is_task_error(error: BaseException) -> bool:
         error,
         (
             BrokenProcessPool,
-            TaskTimeoutError,
             pickle.PicklingError,
             AttributeError,
             OSError,

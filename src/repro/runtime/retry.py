@@ -5,7 +5,7 @@ The runtime's failure taxonomy has three tiers:
 1. **deterministic task errors** (a solver ``ValueError``, a bad
    instance): retrying replays the same failure -- never retried;
 2. **transient infrastructure failures** (a ``BrokenProcessPool`` after
-   a worker crash, a per-task timeout, an injected I/O fault): retrying
+   a worker crash, an injected I/O fault): retrying
    against healthy infrastructure usually succeeds -- retried with
    exponential backoff and seeded jitter, bounded by the caller's
    deadline;
@@ -64,14 +64,13 @@ def is_retryable(error: BaseException) -> bool:
     classification (:func:`repro.runtime.pool._is_task_error` treats
     any ``OSError`` as infrastructural): a retry re-runs work, so only
     failure modes with a credible transient story qualify -- broken
-    pools (a worker crashed), per-task timeouts (a worker wedged), and
-    injected I/O faults (transient by construction).  Deadline
+    pools (a worker crashed) and injected I/O faults (transient by
+    construction).  Deadline
     exhaustion is explicitly *not* retryable.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     from repro.faults.injector import InjectedFaultError
-    from repro.runtime.pool import TaskTimeoutError
 
     if isinstance(error, DeadlineExceededError):
         return False
@@ -79,7 +78,6 @@ def is_retryable(error: BaseException) -> bool:
         error,
         (
             BrokenProcessPool,
-            TaskTimeoutError,
             InjectedFaultError,
             ConnectionResetError,
             BrokenPipeError,

@@ -145,6 +145,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
 
+    #: Whether the current request's body was read (by :meth:`_read_body`).
+    _body_read = False
+
     # The service object is attached by app.ServiceHTTPServer.
     @property
     def service(self):
@@ -735,6 +738,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         length, failure = self._body_length()
         if failure is not None:
             return b"", failure
+        self._body_read = True
         return (self.rfile.read(length) if length else b""), None
 
     def _read_json(self) -> Tuple[Any, Optional[Tuple[int, bytes]]]:
@@ -793,6 +797,11 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         ).inc()
 
     def _send(self, endpoint: str, status: int, payload: bytes) -> None:
+        if not self._body_read and self._body_length()[0] != 0:
+            # The route answered without reading the declared body; its
+            # bytes would be parsed as the next request.
+            self.close_connection = True
+        self._body_read = False  # the next request's body is unread
         content_type = (
             "text/plain; version=0.0.4; charset=utf-8"
             if endpoint == "metrics" and status == 200

@@ -90,8 +90,6 @@ def run_batch(
     charging_factory: Optional[ChargingFactory] = None,
     events_factory: Optional[EventsFactory] = None,
     jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    auto_fallback: bool = True,
 ) -> BatchResult:
     """Run one replicate per seed and aggregate.
 
@@ -102,8 +100,7 @@ def run_batch(
 
     ``jobs`` farms the replicates across that many worker processes
     (results stay in seed order, so aggregates match the serial run
-    exactly); ``timeout`` bounds each replicate's wall time in the
-    pool.  Factories that cannot be pickled fall back to serial
+    exactly).  Factories that cannot be pickled fall back to serial
     execution -- check ``BatchResult.telemetry`` to see which path ran.
     """
     if num_slots < 0:
@@ -121,13 +118,7 @@ def run_batch(
         )
         for seed in seeds
     ]
-    results, telemetry = run_tasks(
-        _run_replicate,
-        tasks,
-        jobs=jobs,
-        timeout=timeout,
-        auto_fallback=auto_fallback,
-    )
+    results, telemetry = run_tasks(_run_replicate, tasks, jobs=jobs)
 
     utilities = [r.average_slot_utility for r in results]
     per_target = [r.average_utility_per_target for r in results]

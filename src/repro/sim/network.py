@@ -7,7 +7,7 @@ charge) that online policies consume.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional
 
 from repro.core.problem import SchedulingProblem
 from repro.energy.period import ChargingPeriod
@@ -124,56 +124,3 @@ class SensorNetwork:
 
     def total_refused_activations(self) -> int:
         return sum(n.refused_activations for n in self.nodes)
-
-    # ------------------------------------------------------------------
-    # Warm start
-    # ------------------------------------------------------------------
-
-    def warm_start(self, schedule) -> None:
-        """Put every node in the steady-state phase of a periodic schedule.
-
-        A fresh network starts all-full/all-READY, but a periodic
-        schedule's steady state has each node mid-cycle at slot 0 (the
-        paper's analysis is steady-state: each sensor activates exactly
-        once per period).  Without a warm start the first period shows
-        transient refused activations in the rho <= 1 regime (nodes
-        parked with partial charge do not recharge -- Sec. II-B's READY
-        semantics); after warm start the schedule executes exactly.
-
-        Parameters
-        ----------
-        schedule:
-            A :class:`~repro.core.schedule.PeriodicSchedule` whose
-            assignment covers the nodes to warm.
-        """
-        from repro.core.schedule import PeriodicSchedule, ScheduleMode
-        from repro.energy.states import NodeState
-
-        if not isinstance(schedule, PeriodicSchedule):
-            raise TypeError(
-                f"warm_start needs a PeriodicSchedule, got {type(schedule).__name__}"
-            )
-        T = schedule.slots_per_period
-        for node in self.nodes:
-            slot = schedule.slot_of(node.node_id)
-            if slot is None:
-                continue  # never-activated sensor: leave it READY/full
-            capacity = node.battery.capacity
-            done = T - 1 - slot  # cycle slots completed before slot 0
-            if schedule.mode is ScheduleMode.ACTIVE_SLOT:
-                # Recharging since its last activation at slot - T.
-                level = min(capacity, done * node.charge_per_slot)
-                state = (
-                    NodeState.READY
-                    if level >= capacity - 1e-9
-                    else NodeState.PASSIVE
-                )
-            else:
-                # Draining since its last passive slot at slot - T.
-                level = max(0.0, capacity - done * node.drain_per_slot)
-                if level <= 1e-9:
-                    state = NodeState.PASSIVE
-                    level = 0.0
-                else:
-                    state = NodeState.READY  # will be commanded on at slot 0
-            node.force(level, state)

@@ -19,7 +19,7 @@ Fleet-scale note: since the struct-of-arrays refactor the node is a
 *view* -- all mutable state (level, state code, counters) lives in a
 shared :class:`~repro.sim.soa.NodeArrays`, so the engine can step every
 node with vectorized numpy ops while this class keeps serving the
-object API (policies, tests, warm starts) over the same storage.  A
+object API (policies, tests) over the same storage.  A
 node constructed standalone owns a private one-slot array block.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.energy.period import ChargingPeriod
-from repro.energy.states import NodeState
+from repro.energy.states import IllegalTransition, NodeState
 from repro.sim.soa import STATE_CODES, NodeArrays, require_transition
 
 
@@ -111,7 +111,7 @@ class BatteryView:
 
 
 class MachineView:
-    """The :class:`~repro.energy.states.SensorStateMachine` API over one
+    """The Sec. II-B lifecycle (:mod:`repro.energy.states`) over one
     array slot (state code + transition counter)."""
 
     __slots__ = ("_arrays", "_i")
@@ -151,8 +151,6 @@ class MachineView:
         self._arrays.transitions[self._i] += 1
 
     def _require(self, expected: NodeState, action: str) -> None:
-        from repro.energy.states import IllegalTransition
-
         if self.state is not expected:
             raise IllegalTransition(
                 f"{action} requires {expected.value}, but node is "
@@ -383,7 +381,7 @@ class SimulatedNode:
         self.completed_activations = snap["completed_activations"]
 
     def force(self, level: float, state: NodeState) -> None:
-        """Set battery level and state directly (warm starts, trace replay).
+        """Set battery level and state directly (observing a node mid-cycle).
 
         Bypasses the legal-transition checks -- this models *observing*
         a node mid-cycle, not commanding it.  Consistency between level

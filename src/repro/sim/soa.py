@@ -1,10 +1,9 @@
 """Struct-of-arrays node state: the fleet-scale engine representation.
 
-Per-node Python objects (:class:`~repro.sim.node.SimulatedNode` holding
-a :class:`~repro.energy.battery.Battery` and a
-:class:`~repro.energy.states.SensorStateMachine`) cost a dict lookup and
-an attribute walk per float, and force the engine to step 10^5 nodes
-through 10^5 interpreter-level calls per slot.  :class:`NodeArrays`
+Per-node Python objects (a :class:`~repro.energy.battery.Battery` and a
+state machine per node) cost a dict lookup and an attribute walk per
+float, and force the engine to step 10^5 nodes through 10^5
+interpreter-level calls per slot.  :class:`NodeArrays`
 keeps every piece of hot mutable state in flat numpy arrays instead --
 battery levels, state codes, per-slot drain/charge, refusal counters --
 so the engine's energy accounting becomes branch-free whole-array
@@ -39,7 +38,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro.energy.states import IllegalTransition, NodeState
+from repro.energy.states import _ALLOWED, IllegalTransition, NodeState
 
 #: int8 codes for :class:`NodeState` (array representation);
 #: :meth:`NodeArrays.step_all` computes new codes arithmetically from
@@ -169,8 +168,6 @@ class NodeArrays:
 
 def require_transition(current: NodeState, new_state: NodeState) -> None:
     """Raise :class:`IllegalTransition` unless the lifecycle allows it."""
-    from repro.energy.states import _ALLOWED
-
     if new_state is current:
         return
     if (current, new_state) not in _ALLOWED:

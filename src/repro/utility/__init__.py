@@ -45,7 +45,6 @@ from repro.utility.operations import (
     CappedCardinalityUtility,
     ResidualUtility,
     ScaledUtility,
-    SumUtility,
     residual,
 )
 from repro.utility.target_system import PerSlotUtility, TargetSystem
@@ -72,7 +71,6 @@ __all__ = [
     "k_coverage_system",
     "ConcaveOverModularUtility",
     "ResidualUtility",
-    "SumUtility",
     "ScaledUtility",
     "CappedCardinalityUtility",
     "residual",

@@ -12,16 +12,17 @@ go through: after the greedy scheme commits sensor ``v_1`` to slot
 ``i``, the remaining problem ``P'`` replaces the slot-``i`` utility by
 its residual with respect to ``{v_1}``.
 
-The other combinators (:class:`SumUtility`, :class:`ScaledUtility`,
-:class:`RestrictedUtility`, :class:`CappedCardinalityUtility`) cover
-the standard closure properties used elsewhere in the library, e.g.
-the multi-target objective Eq. 1 is a :class:`SumUtility` of restricted
-per-target utilities.
+The other combinators cover standard closure properties used elsewhere
+in the library: :class:`ScaledUtility` (per-slot priorities),
+:class:`RestrictedUtility` (``UtilityFunction.restricted``) and
+:class:`CappedCardinalityUtility` (a closed form for the LP).  The
+multi-target objective Eq. 1 is
+:class:`~repro.utility.target_system.TargetSystem`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.utility.base import SensorSet, UtilityFunction, as_sensor_set
 
@@ -75,37 +76,6 @@ def residual(base: UtilityFunction, fixed: Iterable[int]) -> UtilityFunction:
     if isinstance(base, ResidualUtility):
         return ResidualUtility(base.base, base.fixed | fixed_set)
     return ResidualUtility(base, fixed_set)
-
-
-class SumUtility(UtilityFunction):
-    """Non-negative sum of utility functions (closure under addition)."""
-
-    def __init__(self, terms: Sequence[UtilityFunction]):
-        if not terms:
-            raise ValueError("SumUtility needs at least one term")
-        self._terms = tuple(terms)
-        ground: set = set()
-        for term in self._terms:
-            ground |= term.ground_set
-        self._ground: SensorSet = frozenset(ground)
-
-    @property
-    def ground_set(self) -> SensorSet:
-        return self._ground
-
-    @property
-    def terms(self) -> Sequence[UtilityFunction]:
-        return self._terms
-
-    def value(self, sensors: Iterable[int]) -> float:
-        active = as_sensor_set(sensors)
-        return sum(term.value(active) for term in self._terms)
-
-    def marginal(self, sensor: int, base: Iterable[int]) -> float:
-        base_set = as_sensor_set(base)
-        if sensor in base_set:
-            return 0.0
-        return sum(term.marginal(sensor, base_set) for term in self._terms)
 
 
 class ScaledUtility(UtilityFunction):

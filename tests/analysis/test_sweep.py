@@ -98,30 +98,3 @@ class TestPivot:
         table = pivot(run_sweep(spec), row_key="n", col_key="rho")
         assert set(table) == {10, 20}
         assert set(table[10]) == {1.0, 3.0}
-
-
-class TestCsvExport:
-    def test_header_and_rows(self):
-        from repro.analysis.sweep import records_to_csv
-
-        spec = SweepSpec(sensor_counts=[8, 10], seeds=[0])
-        records = run_sweep(spec)
-        csv = records_to_csv(records)
-        lines = csv.strip().splitlines()
-        assert lines[0].startswith("n,m,rho,p,method,seed")
-        assert len(lines) == 3
-
-    def test_empty(self):
-        from repro.analysis.sweep import records_to_csv
-
-        assert records_to_csv([]) == ""
-
-    def test_values_parse(self):
-        from repro.analysis.sweep import records_to_csv
-
-        spec = SweepSpec(sensor_counts=[8], seeds=[0])
-        csv = records_to_csv(run_sweep(spec))
-        header, row = csv.strip().splitlines()
-        cells = dict(zip(header.split(","), row.split(",")))
-        assert float(cells["avg_per_target"]) >= 0
-        assert cells["method"] == "greedy"

@@ -167,16 +167,6 @@ class TestFallbackReasons:
         assert not any(record.batched for record in telemetry)
         assert fallbacks("method") == 2
 
-    def test_forced_pool_falls_back(self):
-        problems = random_batch_problems(
-            seed=28, family="detection", sizes=(4, 5), rho=2.0
-        )
-        _results, telemetry = solve_many(
-            greedy_tasks(problems), jobs=2, auto_fallback=False
-        )
-        assert not any(record.batched for record in telemetry)
-        assert fallbacks("forced-pool") == 1
-
     def test_eligible_and_ineligible_mix_splits_cleanly(self):
         eligible = random_batch_problems(
             seed=29, family="logsum", sizes=(4, 3), rho=2.0

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coverage.deployment import (
-    Deployment,
-    cluster_deployment,
-    grid_deployment,
-    make_rng,
-    poisson_deployment,
-    uniform_deployment,
-)
+from repro.coverage.deployment import Deployment, make_rng, uniform_deployment
 from repro.coverage.geometry import Point, Rectangle
 
 
@@ -70,67 +63,3 @@ class TestDeployment:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             uniform_deployment(-1)
-
-
-class TestGridDeployment:
-    def test_exact_grid(self):
-        d = grid_deployment(3, 2, region=Rectangle.square(60))
-        assert d.num_sensors == 6
-        # Cell centers: x in {10, 30, 50}, y in {15, 45}.
-        assert Point(10, 15) in d.sensors
-        assert Point(50, 45) in d.sensors
-
-    def test_jitter_stays_inside(self):
-        d = grid_deployment(5, 5, jitter=50.0, rng=1)
-        assert all(d.region.contains(p) for p in d.sensors)
-
-    def test_zero_jitter_deterministic(self):
-        a = grid_deployment(4, 4)
-        b = grid_deployment(4, 4)
-        assert a.sensors == b.sensors
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError, match="positive"):
-            grid_deployment(0, 3)
-        with pytest.raises(ValueError, match="non-negative"):
-            grid_deployment(2, 2, jitter=-1.0)
-
-
-class TestClusterDeployment:
-    def test_counts(self):
-        d = cluster_deployment(3, 5, num_targets=2, rng=1)
-        assert d.num_sensors == 15
-        assert d.num_targets == 2
-
-    def test_clusters_are_tight(self):
-        d = cluster_deployment(1, 30, spread=1.0, rng=7)
-        xs = np.array([p.x for p in d.sensors])
-        ys = np.array([p.y for p in d.sensors])
-        # One cluster with sigma=1 in a 100x100 region: tiny footprint.
-        assert xs.std() < 5.0 and ys.std() < 5.0
-
-    def test_inside_region(self):
-        d = cluster_deployment(4, 10, spread=50.0, rng=2)
-        assert all(d.region.contains(p) for p in d.sensors)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError, match="positive"):
-            cluster_deployment(0, 5)
-        with pytest.raises(ValueError, match="non-negative"):
-            cluster_deployment(2, 5, spread=-1.0)
-
-
-class TestPoissonDeployment:
-    def test_mean_count(self):
-        counts = [
-            poisson_deployment(0.01, rng=seed).num_sensors for seed in range(30)
-        ]
-        # intensity 0.01 over 100x100 = mean 100 sensors.
-        assert 80 < np.mean(counts) < 120
-
-    def test_zero_intensity(self):
-        assert poisson_deployment(0.0, rng=1).num_sensors == 0
-
-    def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            poisson_deployment(-0.1)

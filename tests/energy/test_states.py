@@ -1,18 +1,30 @@
-"""Tests for the ACTIVE/PASSIVE/READY state machine (Sec. II-B)."""
+"""The ACTIVE/PASSIVE/READY lifecycle (Sec. II-B), through the code the
+simulator runs: a one-node :class:`~repro.sim.node.SimulatedNode`'s
+:class:`~repro.sim.node.MachineView` over its ``NodeArrays`` slot."""
 
 import pytest
 
-from repro.energy.states import IllegalTransition, NodeState, SensorStateMachine
+from repro.energy.period import ChargingPeriod
+from repro.energy.states import IllegalTransition, NodeState
+from repro.sim.node import SimulatedNode
+
+
+def machine(state: NodeState = NodeState.READY):
+    """A fresh node's state machine, observed in ``state``."""
+    node = SimulatedNode(0, ChargingPeriod.paper_sunny())
+    if state is not NodeState.READY:
+        node.force(0.0 if state is NodeState.PASSIVE else 0.5, state)
+    return node.machine
 
 
 class TestLegalLifecycle:
     def test_initial_ready(self):
-        sm = SensorStateMachine()
+        sm = machine()
         assert sm.state is NodeState.READY
         assert sm.is_ready
 
     def test_full_cycle(self):
-        sm = SensorStateMachine()
+        sm = machine()
         sm.activate()
         assert sm.is_active
         sm.deplete()
@@ -21,18 +33,18 @@ class TestLegalLifecycle:
         assert sm.is_ready
 
     def test_park_with_energy(self):
-        sm = SensorStateMachine()
+        sm = machine()
         sm.activate()
         sm.park()
         assert sm.is_ready
 
     def test_self_transition_noop(self):
-        sm = SensorStateMachine()
+        sm = machine()
         sm.transition(NodeState.READY)
         assert sm.transitions == 0
 
     def test_transition_count(self):
-        sm = SensorStateMachine()
+        sm = machine()
         sm.activate()
         sm.deplete()
         sm.fully_charged()
@@ -41,39 +53,48 @@ class TestLegalLifecycle:
 
 class TestIllegalTransitions:
     def test_ready_to_passive(self):
-        sm = SensorStateMachine()
-        with pytest.raises(IllegalTransition, match="ready -> passive"):
+        sm = machine()
+        with pytest.raises(IllegalTransition, match="cannot move ready -> passive"):
             sm.transition(NodeState.PASSIVE)
 
     def test_passive_to_active(self):
         # The paper's full-charge rule: a depleted node cannot go
         # straight back to sensing.
-        sm = SensorStateMachine(NodeState.PASSIVE)
-        with pytest.raises(IllegalTransition, match="passive -> active"):
+        sm = machine(NodeState.PASSIVE)
+        with pytest.raises(IllegalTransition, match="cannot move passive -> active"):
             sm.transition(NodeState.ACTIVE)
 
     def test_activate_from_passive_raises(self):
-        sm = SensorStateMachine(NodeState.PASSIVE)
-        with pytest.raises(IllegalTransition):
+        sm = machine(NodeState.PASSIVE)
+        with pytest.raises(
+            IllegalTransition, match="activate requires ready, but node is passive"
+        ):
             sm.activate()
 
     def test_deplete_from_ready_raises(self):
-        sm = SensorStateMachine()
-        with pytest.raises(IllegalTransition):
+        sm = machine()
+        with pytest.raises(
+            IllegalTransition, match="deplete requires active, but node is ready"
+        ):
             sm.deplete()
 
     def test_park_from_passive_raises(self):
-        sm = SensorStateMachine(NodeState.PASSIVE)
-        with pytest.raises(IllegalTransition):
+        sm = machine(NodeState.PASSIVE)
+        with pytest.raises(
+            IllegalTransition, match="park requires active, but node is passive"
+        ):
             sm.park()
 
     def test_fully_charged_from_active_raises(self):
-        sm = SensorStateMachine(NodeState.ACTIVE)
-        with pytest.raises(IllegalTransition):
+        sm = machine(NodeState.ACTIVE)
+        with pytest.raises(
+            IllegalTransition,
+            match="fully_charged requires passive, but node is active",
+        ):
             sm.fully_charged()
 
     def test_state_unchanged_after_failed_transition(self):
-        sm = SensorStateMachine()
+        sm = machine()
         with pytest.raises(IllegalTransition):
             sm.transition(NodeState.PASSIVE)
         assert sm.is_ready
@@ -83,9 +104,9 @@ class TestIllegalTransitions:
 class TestPredicates:
     def test_flags_exclusive(self):
         for state in NodeState:
-            sm = SensorStateMachine(state)
+            sm = machine(state)
             flags = [sm.is_active, sm.is_passive, sm.is_ready]
             assert sum(flags) == 1
 
     def test_repr(self):
-        assert "active" in repr(SensorStateMachine(NodeState.ACTIVE))
+        assert "active" in repr(machine(NodeState.ACTIVE))

@@ -132,32 +132,3 @@ class TestResultSummary:
         assert summary["average_slot_utility"] == pytest.approx(
             result.average_slot_utility
         )
-
-
-class TestFileRoundtrips:
-    def test_schedule_file_roundtrip(self, tmp_path):
-        from repro.io.files import load_schedule, save_schedule
-
-        original = PeriodicSchedule(slots_per_period=3, assignment={0: 1, 2: 2})
-        path = tmp_path / "plans" / "schedule.json"
-        save_schedule(original, path)
-        restored = load_schedule(path)
-        assert dict(restored.assignment) == dict(original.assignment)
-
-    def test_sweep_csv_file(self, tmp_path):
-        from repro.analysis.sweep import SweepSpec, run_sweep
-        from repro.io.files import save_sweep_csv
-
-        records = run_sweep(SweepSpec(sensor_counts=[6], seeds=[0]))
-        path = tmp_path / "sweep.csv"
-        save_sweep_csv(records, path)
-        assert path.read_text().startswith("n,m,rho,p,method,seed")
-
-    def test_trace_csv_file(self, tmp_path):
-        from repro.io.files import save_trace_csv
-        from repro.solar.trace import generate_node_trace
-
-        trace = generate_node_trace(1, days=1, rng=2)
-        path = tmp_path / "traces" / "node1.csv"
-        save_trace_csv(trace, path)
-        assert path.read_text().startswith("minute,light")

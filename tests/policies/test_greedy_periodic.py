@@ -54,16 +54,6 @@ class TestSimulatedExecution:
         result = SimulationEngine(net, GreedyPeriodicPolicy()).run(24)
         assert result.refused_activations == 0
 
-    def test_no_refusals_dense_after_warm_start(self):
-        # In the rho <= 1 regime a cold (all-full) start is mid-phase for
-        # most nodes; steady-state execution needs the warm start.
-        net = make_network(period=DENSE)
-        policy = GreedyPeriodicPolicy()
-        policy.decide(0, net)  # force planning so we can warm start
-        net.warm_start(policy.schedule)
-        result = SimulationEngine(net, policy).run(24)
-        assert result.refused_activations == 0
-
     def test_dense_cold_start_refusals_are_transient(self):
         net = make_network(period=DENSE)
         result = SimulationEngine(net, GreedyPeriodicPolicy()).run(24)

@@ -72,19 +72,17 @@ class TestBatchDeterminism:
         parallel = run_batch(jobs=4, **kwargs)
         assert batch_signature(serial) == batch_signature(parallel)
 
-    def test_parallel_batch_actually_used_workers(self):
-        # auto_fallback would (correctly) decline the pool on 1-core
-        # machines; this test pins the parallel path.
+    def test_parallel_batch_actually_used_workers(self, pool_engaged):
         batch = run_batch(
             network_factory,
             policy_factory,
             num_slots=8,
             seeds=range(4),
             jobs=2,
-            auto_fallback=False,
         )
         assert len(batch.telemetry) == 4
-        assert any(t.parallel for t in batch.telemetry)
+        # Seed 0 is the pool's serial probe; the rest ran in workers.
+        assert all(t.parallel for t in batch.telemetry[1:])
 
     def test_closure_factories_fall_back_to_serial(self):
         batch = run_batch(

@@ -1,4 +1,4 @@
-"""Tests for the worker pool: ordering, fallback, timeouts, telemetry."""
+"""Tests for the worker pool: ordering, fallback, telemetry."""
 
 import os
 import time
@@ -54,17 +54,15 @@ class TestSerialPath:
 
 
 class TestParallelPath:
-    def test_results_match_serial_and_run_in_workers(self):
-        # auto_fallback=False pins the pool path even on machines where
-        # the amortization guard would (correctly) decline it.
+    def test_results_match_serial_and_run_in_workers(self, pool_engaged):
         items = list(range(8))
         serial, _ = run_tasks(square, items, jobs=1)
-        parallel, telemetry = run_tasks(
-            square, items, jobs=2, auto_fallback=False
-        )
+        parallel, telemetry = run_tasks(square, items, jobs=2)
         assert parallel == serial
-        assert all(t.parallel for t in telemetry)
-        assert all(t.worker != os.getpid() for t in telemetry)
+        # Task 0 is the serial probe; the rest ran in workers.
+        assert not telemetry[0].parallel
+        assert all(t.parallel for t in telemetry[1:])
+        assert all(t.worker != os.getpid() for t in telemetry[1:])
 
     def test_task_error_still_propagates(self):
         with pytest.raises(RuntimeError, match="exploded"):
@@ -74,14 +72,6 @@ class TestParallelPath:
         results, telemetry = run_tasks(lambda x: x + 1, [1, 2, 3], jobs=2)
         assert results == [2, 3, 4]
         assert all(not t.parallel for t in telemetry)
-
-    def test_timeout_degrades_to_serial_with_complete_results(self):
-        results, telemetry = run_tasks(
-            sleepy_square, [2, 3], jobs=2, timeout=0.02
-        )
-        assert results == [4, 9]
-        # The fallback ran (at least) the unfinished tasks in-process.
-        assert any(not t.parallel for t in telemetry)
 
 
 class TestAutoFallback:
@@ -130,18 +120,6 @@ class TestAutoFallback:
         # Task 0 is the serial probe; the rest went to the pool.
         assert not telemetry[0].parallel
         assert telemetry[1].parallel
-
-    def test_opt_out_forces_pool(self, monkeypatch):
-        get_registry().reset()
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        _results, telemetry = run_tasks(
-            square, [1, 2, 3], jobs=2, auto_fallback=False
-        )
-        assert all(t.parallel for t in telemetry)
-        assert (
-            get_registry().sample_value("repro_pool_fallbacks_total")
-            is None
-        )
 
 
 class TestTelemetrySummary:

@@ -13,7 +13,6 @@ from repro.faults import injector
 from repro.faults.injector import InjectedFaultError
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.runtime.executor import solve_many
-from repro.runtime.pool import TaskTimeoutError
 from repro.runtime.retry import (
     DeadlineExceededError,
     RetryPolicy,
@@ -34,7 +33,6 @@ def problem(sensors: int = 4) -> SchedulingProblem:
 class TestTaxonomy:
     def test_transient_infrastructure_is_retryable(self):
         assert is_retryable(BrokenProcessPool("worker died"))
-        assert is_retryable(TaskTimeoutError("task 3 timed out"))
         assert is_retryable(InjectedFaultError("injected"))
         assert is_retryable(ConnectionResetError())
 
@@ -151,18 +149,12 @@ class TestExecutorRetry:
             injector.uninstall()
 
     def test_deterministic_error_is_not_retried(self):
-        calls = []
-
-        def counting_on_task(record):
-            calls.append(record)
-
         # An unknown method raises KeyError deep in the solver --
         # deterministic, so one attempt only.
         with pytest.raises(Exception) as exc_info:
             solve_many(
                 [(problem(), "no-such-method", None)],
                 retry=RetryPolicy(max_attempts=5, base_delay=0.01),
-                on_task=counting_on_task,
             )
         assert not is_retryable(exc_info.value)
 

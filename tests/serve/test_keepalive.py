@@ -199,6 +199,43 @@ class TestOversizedBody:
         assert json.loads(payload)["status"] == "ok"
 
 
+class TestUnreadBody:
+    @pytest.mark.parametrize(
+        "method, path, status",
+        [
+            ("POST", "/metrics", 405),
+            ("POST", "/no-such-route", 404),
+            ("POST", "/session/abc", 405),
+        ],
+    )
+    def test_reply_without_reading_the_body_closes(
+        self, keepalive, method, path, status
+    ):
+        """A route that answers without reading the declared body must
+        not leave it on the connection, where it would be parsed as the
+        next request: the reply announces the close, and the next
+        request on the same client object gets the health reply, not
+        ``http.server``'s HTML 400."""
+        _, _, exchange = keepalive()
+        response, payload, _ = exchange(method, path, {"x": 1})
+        assert response.status == status
+        assert response.getheader("Connection") == "close"
+        assert json.loads(payload)["error"]["code"] in (
+            "method-not-allowed",
+            "not-found",
+        )
+
+        response, payload, _ = exchange("GET", "/healthz")
+        assert response.status == 200
+        assert json.loads(payload)["kind"] == "repro-health"
+
+    def test_read_body_keeps_the_connection(self, keepalive):
+        _, _, exchange = keepalive()
+        response, _, _ = exchange("POST", "/v1/solve", solve_body())
+        assert response.status == 200
+        assert response.getheader("Connection") is None
+
+
 def _expect_100_exchange(service, length, body=b""):
     """POST ``/v1/solve`` with ``Expect: 100-continue`` over a raw
     socket, declaring ``length`` body bytes and sending ``body`` only

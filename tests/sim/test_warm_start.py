@@ -1,20 +1,12 @@
-"""Tests for steady-state warm starts and node state forcing."""
+"""Tests for forcing a node's observed level and state."""
 
 import pytest
 
-from repro.core.greedy import greedy_schedule
-from repro.core.greedy_passive import greedy_passive_schedule
-from repro.core.problem import SchedulingProblem
 from repro.energy.period import ChargingPeriod
 from repro.energy.states import NodeState
-from repro.policies.schedule_policy import SchedulePolicy
-from repro.sim.engine import SimulationEngine
-from repro.sim.network import SensorNetwork
 from repro.sim.node import SimulatedNode
-from repro.utility.detection import HomogeneousDetectionUtility
 
 SPARSE = ChargingPeriod.paper_sunny()
-DENSE = ChargingPeriod.from_ratio(1.0 / 3.0, discharge_time=45.0)
 
 
 class TestNodeForce:
@@ -34,99 +26,3 @@ class TestNodeForce:
         node.force(0.0, NodeState.PASSIVE)
         node.step(0, activate=False)
         assert node.battery.level == pytest.approx(1.0 / 3.0)
-
-
-def make_network(period, n=8):
-    return SensorNetwork(
-        n, period, HomogeneousDetectionUtility(range(n), p=0.4)
-    )
-
-
-class TestWarmStartSparse:
-    def test_phases_set_correctly(self):
-        net = make_network(SPARSE, n=4)
-        problem = SchedulingProblem(4, SPARSE, net.utility)
-        schedule = greedy_schedule(problem)
-        net.warm_start(schedule)
-        for node in net.nodes:
-            slot = schedule.slot_of(node.node_id)
-            if slot == 0:
-                assert node.state is NodeState.READY
-                assert node.battery.is_full
-            else:
-                assert node.state is NodeState.PASSIVE
-                assert not node.battery.is_full
-
-    def test_execution_identical_to_cold_start(self):
-        # The sparse regime is already clean from a cold start; the warm
-        # start must not change the achieved utility.
-        problem = SchedulingProblem(
-            8, SPARSE, HomogeneousDetectionUtility(range(8), p=0.4), num_periods=4
-        )
-        schedule = greedy_schedule(problem)
-
-        cold_net = make_network(SPARSE)
-        cold = SimulationEngine(cold_net, SchedulePolicy(schedule)).run(16)
-
-        warm_net = make_network(SPARSE)
-        warm_net.warm_start(schedule)
-        warm = SimulationEngine(warm_net, SchedulePolicy(schedule)).run(16)
-
-        assert warm.refused_activations == 0
-        assert warm.total_utility == pytest.approx(cold.total_utility)
-
-    def test_unscheduled_sensors_left_alone(self):
-        from repro.core.schedule import PeriodicSchedule
-
-        net = make_network(SPARSE, n=3)
-        schedule = PeriodicSchedule(slots_per_period=4, assignment={0: 1})
-        net.warm_start(schedule)
-        assert net.nodes[1].state is NodeState.READY
-        assert net.nodes[1].battery.is_full
-
-    def test_type_checked(self):
-        net = make_network(SPARSE)
-        with pytest.raises(TypeError, match="PeriodicSchedule"):
-            net.warm_start("not a schedule")
-
-
-class TestWarmStartDense:
-    def test_no_refusals_from_slot_zero(self):
-        n = 8
-        problem = SchedulingProblem(
-            n, DENSE, HomogeneousDetectionUtility(range(n), p=0.4), num_periods=6
-        )
-        schedule = greedy_passive_schedule(problem)
-        net = make_network(DENSE, n=n)
-        net.warm_start(schedule)
-        result = SimulationEngine(net, SchedulePolicy(schedule)).run(24)
-        assert result.refused_activations == 0
-
-    def test_simulated_utility_matches_combinatorial(self):
-        n = 8
-        problem = SchedulingProblem(
-            n, DENSE, HomogeneousDetectionUtility(range(n), p=0.4), num_periods=6
-        )
-        schedule = greedy_passive_schedule(problem)
-        net = make_network(DENSE, n=n)
-        net.warm_start(schedule)
-        result = SimulationEngine(net, SchedulePolicy(schedule)).run(24)
-        expected = schedule.total_utility(problem.utility, 6)
-        assert result.total_utility == pytest.approx(expected)
-
-    def test_phase_levels(self):
-        from repro.core.schedule import PeriodicSchedule, ScheduleMode
-
-        net = make_network(DENSE, n=4)
-        schedule = PeriodicSchedule(
-            slots_per_period=4,
-            assignment={0: 0, 1: 1, 2: 2, 3: 3},
-            mode=ScheduleMode.PASSIVE_SLOT,
-        )
-        net.warm_start(schedule)
-        # passive slot s -> level = 1 - (T-1-s)/3.
-        assert net.nodes[3].battery.fraction == pytest.approx(1.0)
-        assert net.nodes[2].battery.fraction == pytest.approx(2.0 / 3.0)
-        assert net.nodes[1].battery.fraction == pytest.approx(1.0 / 3.0)
-        assert net.nodes[0].battery.fraction == pytest.approx(0.0)
-        assert net.nodes[0].state is NodeState.PASSIVE

@@ -3,15 +3,12 @@
 import pytest
 
 from repro.utility.base import check_monotone, check_normalized, check_submodular
-from repro.utility.coverage_count import WeightedCoverageUtility
 from repro.utility.detection import DetectionUtility
-from repro.utility.logsum import LogSumUtility
 from repro.utility.operations import (
     CappedCardinalityUtility,
     ResidualUtility,
     RestrictedUtility,
     ScaledUtility,
-    SumUtility,
     residual,
 )
 
@@ -78,38 +75,6 @@ class TestResidualFactory:
             assert flattened.value(subset) == pytest.approx(
                 level2_manual.value(subset)
             )
-
-
-class TestSumUtility:
-    def test_sums_values(self):
-        a = DetectionUtility({0: 0.5})
-        b = LogSumUtility({1: 3.0})
-        s = SumUtility([a, b])
-        assert s.value({0, 1}) == pytest.approx(a.value({0}) + b.value({1}))
-
-    def test_ground_set_union(self):
-        s = SumUtility([DetectionUtility({0: 0.5}), LogSumUtility({1: 3.0})])
-        assert s.ground_set == frozenset({0, 1})
-
-    def test_marginal_sums(self):
-        a = DetectionUtility({0: 0.5, 1: 0.5})
-        b = WeightedCoverageUtility({0: {7}, 1: {7, 8}})
-        s = SumUtility([a, b])
-        assert s.marginal(1, {0}) == pytest.approx(
-            a.marginal(1, {0}) + b.marginal(1, {0})
-        )
-
-    def test_empty_terms_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            SumUtility([])
-
-    def test_properties_preserved(self):
-        s = SumUtility(
-            [DetectionUtility({0: 0.5, 1: 0.3}), LogSumUtility({1: 2.0, 2: 3.0})]
-        )
-        assert check_normalized(s)
-        assert check_monotone(s)
-        assert check_submodular(s)
 
 
 class TestScaledUtility:

@@ -20,7 +20,7 @@ from repro.utility.base import UtilityFunction
 from repro.utility.coverage_count import WeightedCoverageUtility
 from repro.utility.detection import DetectionUtility
 from repro.utility.logsum import LogSumUtility
-from repro.utility.operations import ResidualUtility, SumUtility
+from repro.utility.operations import ResidualUtility
 from repro.utility.target_system import TargetSystem
 
 N_SENSORS = 6
@@ -232,10 +232,3 @@ def test_residual_submodular(fn, fixed, small, extra, sensor):
     if sensor in big or sensor in fixed:
         return
     assert res.marginal(sensor, small) >= res.marginal(sensor, big) - 1e-9
-
-
-@settings(max_examples=100, deadline=None)
-@given(fn=any_utility, subset=subset_strategy)
-def test_sum_with_self_doubles(fn, subset):
-    doubled = SumUtility([fn, fn])
-    assert doubled.value(subset) == pytest.approx(2 * fn.value(subset), abs=1e-9)
