@@ -15,7 +15,7 @@ never an eligibility test.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,13 +86,24 @@ class InstanceBatch:
         Largest member sensor count (padding width).  0 for a batch of
         all-empty instances.
     n_real:
-        ``(N,)`` int array of true sensor counts.
+        ``(N,)`` int array of the sensors each member places: its
+        sensor count, or the size of its live subset.
     sensor_mask:
         ``(N, n_max)`` bool; True where the sensor id is real for that
-        instance, False over padding.
+        instance (and in its live subset, if it has one), False over
+        padding.
+
+    ``live`` optionally gives one subset of sensor ids per member
+    (``None`` for all of them).  The greedy then runs Algorithm 1
+    restricted to that subset -- the ground set a session re-plans --
+    while the kernels still see every sensor id as a column.
     """
 
-    def __init__(self, problems: Sequence[SchedulingProblem]):
+    def __init__(
+        self,
+        problems: Sequence[SchedulingProblem],
+        live: Optional[Sequence[Optional[Iterable[int]]]] = None,
+    ):
         problems = tuple(problems)
         if not problems:
             raise BatchError("cannot batch zero problems")
@@ -121,14 +132,22 @@ class InstanceBatch:
         self.problems: Tuple[SchedulingProblem, ...] = problems
         self.family: str = families[0]
         self.slots_per_period: int = problems[0].slots_per_period
-        self.n_real = np.array(
-            [p.num_sensors for p in problems], dtype=np.intp
-        )
-        self.n_max: int = int(self.n_real.max()) if len(problems) else 0
+        self.n_max: int = max(p.num_sensors for p in problems)
         self.sensor_mask = (
             np.arange(self.n_max, dtype=np.intp)[None, :]
-            < self.n_real[:, None]
+            < np.array([p.num_sensors for p in problems])[:, None]
         )
+        for i, subset in enumerate(live or ()):
+            if subset is None:
+                continue
+            ids = sorted(set(subset))
+            if ids and not 0 <= ids[0] <= ids[-1] < problems[i].num_sensors:
+                raise BatchError(
+                    f"problem {i}: live sensors outside its ground set"
+                )
+            self.sensor_mask[i] = False
+            self.sensor_mask[i, ids] = True
+        self.n_real = self.sensor_mask.sum(axis=1).astype(np.intp)
 
     def __len__(self) -> int:
         return len(self.problems)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Tuple
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ class Rectangle:
 
     def contains(self, p: Point) -> bool:
         return self.x_min <= p.x <= self.x_max and self.y_min <= p.y <= self.y_max
-
-    def grid_points(self, nx: int, ny: int) -> Iterator[Point]:
-        """Cell-center points of an ``nx x ny`` grid over the rectangle."""
-        if nx <= 0 or ny <= 0:
-            raise ValueError(f"grid dimensions must be positive, got {nx}x{ny}")
-        dx = self.width / nx
-        dy = self.height / ny
-        for j in range(ny):
-            for i in range(nx):
-                yield Point(
-                    self.x_min + (i + 0.5) * dx,
-                    self.y_min + (j + 0.5) * dy,
-                )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ condition                             status  error code
 unknown path                          404     ``not-found``
 wrong HTTP method for the path        405     ``method-not-allowed``
 negative or unreadable Content-Length 400     ``bad-request``
+body sent with Transfer-Encoding      411     ``length-required``
 body exceeds ``max_body_bytes``       413     ``body-too-large``
 body is not valid JSON                400     ``bad-json``
 schema/semantic validation failure    400     (from ``WireError``)
@@ -706,9 +707,21 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     def _body_length(self) -> Tuple[int, Optional[Tuple[int, bytes]]]:
         """The declared ``Content-Length``, or ``(-1, failure response)``.
 
-        A refused length leaves the body unread, so this connection
-        carries no further request.
+        A body is framed by one non-negative ``Content-Length`` within
+        ``max_body_bytes``.  A refused framing leaves the body unread,
+        so this connection carries no further request.
         """
+        if "Transfer-Encoding" in self.headers:
+            # A chunked body ends where its last chunk says, and nothing
+            # here decodes chunks: refuse it rather than parse it as
+            # the next request.
+            self.close_connection = True
+            return -1, self._error_response(
+                411,
+                "length-required",
+                "request bodies must be sent with a Content-Length, "
+                "not a Transfer-Encoding",
+            )
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:

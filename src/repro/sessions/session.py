@@ -24,9 +24,10 @@ picks the cheapest sound re-solve:
 ``cold``
     Structural deltas (``T`` changed) and every delta of a
     ``consistency="exact"`` session re-run the greedy planner over the
-    live set (:func:`~repro.core.repair.greedy_repair`, which with no
-    constraints is bit-for-bit Algorithm 1 restricted to the
-    survivors; ``greedy+ls`` sessions add the local-search polish).
+    live set: the width-1 batch kernel where the family has one, else
+    :func:`~repro.core.repair.greedy_repair`; with no constraints both
+    are bit-for-bit Algorithm 1 restricted to the survivors.
+    ``greedy+ls`` sessions add the local-search polish.
 ``memo``
     States already visited this session (fingerprint match) re-adopt
     their stored assignment outright; a failure-free state additionally
@@ -48,7 +49,9 @@ Every apply is transactional: state (assignment, evaluators via their
 snapshot/restore tokens, problem, failed set, lineage) is snapshotted
 first and restored on *any* failure -- a delta that raises leaves the
 session exactly where it was, counted in
-``repro_session_rollbacks_total``.
+``repro_session_rollbacks_total``.  The slot evaluators' op counts
+reach ``repro_utility_incremental_ops_total`` once per apply, on commit
+or rollback, and before the evaluator list is replaced.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.batched.batch import InstanceBatch, family_of
+from repro.batched.greedy import batched_greedy
 from repro.core.problem import SchedulingProblem
 from repro.core.repair import best_slot_for, greedy_repair, scoped_repair
 from repro.core.schedule import PeriodicSchedule, ScheduleMode
@@ -77,7 +82,11 @@ from repro.runtime.fingerprint import (
 from repro.runtime.retry import remaining_budget
 from repro.sessions.deltas import Delta, DeltaEffect, apply_delta
 from repro.utility.base import UtilityFunction
-from repro.utility.incremental import flush_ops, make_evaluator
+from repro.utility.incremental import (
+    IncrementalEvaluator,
+    flush_ops,
+    make_evaluator,
+)
 
 CONSISTENCY_MODES: Tuple[str, ...] = ("warm", "exact")
 
@@ -247,6 +256,7 @@ class Session:
         self._memo_order: List[str] = []
         self._memo_capacity = 16
         self._problem_text: Tuple[Any, Any] = (None, None)
+        self.evaluators: List[IncrementalEvaluator] = []
 
         self.lineage: List[str] = []
         self.state_fingerprint = self._fingerprint()
@@ -262,15 +272,14 @@ class Session:
             resolve = "adopted"
         else:
             self.assignment, resolve = self._initial_assignment()
-        self.evaluators = self._build_evaluators(
-            self.problem.utility, self.assignment
-        )
+        self._rebuild_evaluators(self.problem.utility, self.assignment)
         if self.consistency == "warm" and resolve != "adopted":
             # Adopted incumbents (checkpoint restore) must reproduce
             # the persisted state bit-for-bit; fresh plans get polished
             # so the session starts at a move-local optimum.
             self._polish()
         self._check_invariants()
+        flush_ops(self.evaluators)
         self._remember(self.state_fingerprint, self.assignment)
         self.created_resolve = resolve
         obs_events.emit(
@@ -318,6 +327,7 @@ class Session:
         holder; the store guarantees that by refcounting checkouts."""
         self.closed = True
         self.released = True
+        flush_ops(self.evaluators)
         self.evaluators = []
         self._memo.clear()
         self._memo_order.clear()
@@ -390,9 +400,7 @@ class Session:
                 resolve = "memo"
                 moves = 0
                 self.assignment = dict(self._memo[next_fingerprint])
-                self.evaluators = self._build_evaluators(
-                    self.problem.utility, self.assignment
-                )
+                self._rebuild_evaluators(self.problem.utility, self.assignment)
                 registry.counter(
                     "repro_session_cache_hits_total",
                     _CACHE_HITS_HELP,
@@ -404,9 +412,7 @@ class Session:
                 self.assignment = self._cold_assignment(
                     next_fingerprint, deadline
                 )
-                self.evaluators = self._build_evaluators(
-                    self.problem.utility, self.assignment
-                )
+                self._rebuild_evaluators(self.problem.utility, self.assignment)
                 if self.consistency == "warm":
                     # A warm session promises a locally-repaired
                     # incumbent; re-establish it after the structural
@@ -447,6 +453,7 @@ class Session:
                 f"session {self.session_id or '?'} was deleted while the "
                 "delta was in flight"
             )
+        flush_ops(self.evaluators)
 
         seconds = time.perf_counter() - start
         self.seq += 1
@@ -531,9 +538,7 @@ class Session:
                     "the in-memory utility state is corrupt"
                 )
             self.assignment = incumbent_plan
-            self.evaluators = self._build_evaluators(
-                self.problem.utility, self.assignment
-            )
+            self._rebuild_evaluators(self.problem.utility, self.assignment)
             self._check_invariants()
         except Exception:
             self._restore(token)
@@ -541,6 +546,7 @@ class Session:
                 "repro_session_rollbacks_total", _ROLLBACKS_HELP
             ).inc()
             raise
+        flush_ops(self.evaluators)
         seconds = time.perf_counter() - start
         self.seq += 1
         link = self._extend_lineage({"kind": "full-resolve"})
@@ -664,7 +670,11 @@ class Session:
     ) -> Dict[int, int]:
         """The session's cold path: Algorithm 1 over the live subset.
 
-        With every sensor allowed everywhere greedy_repair is
+        A family with a batch kernel runs it at width 1 over ``live``
+        (:class:`~repro.batched.batch.InstanceBatch`'s live subset);
+        the others run greedy_repair, which stays the kernel path's
+        differential oracle.  Both make the same placements in the same
+        order.  With every sensor allowed everywhere greedy_repair is
         bit-for-bit the lazy greedy of core.greedy restricted to
         ``live``: both run the same lazy driver, and the ``repair``
         regime of ``test_fleet_shape_plan_is_pinned``
@@ -672,9 +682,12 @@ class Session:
         2,000-sensor city -- plan digest, total and evaluation count.
         """
         remaining_budget(deadline)
-        schedule = greedy_repair(
-            live, problem.slots_per_period, problem.utility
-        )
+        if family_of(problem) is None:
+            schedule = greedy_repair(
+                live, problem.slots_per_period, problem.utility
+            )
+        else:
+            (schedule,) = batched_greedy(InstanceBatch([problem], [live]))
         if self.method == "greedy+ls":
             from repro.core.local_search import local_search
 
@@ -731,9 +744,7 @@ class Session:
             # New function object: re-base every evaluator onto the
             # current slot sets (same snapshot-exact rebase local_search
             # uses).
-            self.evaluators = self._build_evaluators(
-                self.problem.utility, self.assignment
-            )
+            self._rebuild_evaluators(self.problem.utility, self.assignment)
         for v in effect.place_sensors:
             slot = best_slot_for(
                 v, self.evaluators, prefer=self._last_slot.get(v)
@@ -752,9 +763,14 @@ class Session:
         )
         return "warm", moves
 
-    def _build_evaluators(
+    def _rebuild_evaluators(
         self, utility: UtilityFunction, assignment: Dict[int, int]
-    ):
+    ) -> None:
+        """Replace the slot evaluators with fresh ones over ``assignment``.
+
+        The ops counted on the old list are flushed with the new list's
+        resets: the work done on it would otherwise leave with it.
+        """
         slots = self.problem.slots_per_period
         members: List[List[int]] = [[] for _ in range(slots)]
         for v, t in assignment.items():
@@ -762,8 +778,8 @@ class Session:
         evaluators = [make_evaluator(utility) for _ in range(slots)]
         for t, sensors in enumerate(members):
             evaluators[t].reset(frozenset(sorted(sensors)))
-        flush_ops(evaluators)
-        return evaluators
+        flush_ops(self.evaluators + evaluators)
+        self.evaluators = evaluators
 
     def _snapshot(self) -> _Snapshot:
         try:
@@ -811,9 +827,8 @@ class Session:
         if not restored:
             # Structural change already swapped the evaluator list (or a
             # restore failed): rebuild from the restored assignment.
-            self.evaluators = self._build_evaluators(
-                token.problem.utility, self.assignment
-            )
+            self._rebuild_evaluators(token.problem.utility, self.assignment)
+        flush_ops(self.evaluators)
 
     def _check_invariants(self) -> None:
         live = self.live_sensors()

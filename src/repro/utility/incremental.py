@@ -112,10 +112,16 @@ _EMPTY: SensorSet = frozenset()
 class IncrementalEvaluator:
     """Stateful marginal-gain evaluator over a running active set.
 
-    The base class is also the from-scratch reference: it caches
-    nothing and delegates ``gain``/``loss``/``value`` to the wrapped
-    function over sets built by the exact operation sequence the legacy
-    consumers used.
+    The base class is also the from-scratch reference: it keeps no
+    family state and delegates ``gain``/``loss``/``value`` to the
+    wrapped function over sets built by the exact operation sequence
+    the legacy consumers used.
+
+    For every family, ``value()`` and each sensor's ``loss(v)`` are
+    remembered until the next ``add``/``remove``/``reset``/``restore``.
+    Between mutations the set object and every cached scalar are fixed,
+    so a remembered answer is the float a fresh query would compute;
+    each query still counts as one op.
 
     Subclasses override the ``_``-prefixed hooks to maintain cached
     state; the public API (and the op accounting) lives here.
@@ -132,6 +138,9 @@ class IncrementalEvaluator:
         self._pending: List[Tuple[int, bool]] = []
         self._delta: Dict[int, bool] = {}
         self._cached_value: Optional[float] = None
+        # ``{sensor: loss}`` answered since the last mutation; built on
+        # the first ``loss`` query, dropped wherever the value is.
+        self._losses: Optional[Dict[int, float]] = None
         self._ops: Dict[str, int] = {}
         self._rebuild()
 
@@ -167,6 +176,7 @@ class IncrementalEvaluator:
         self._count("reset")
         self._rebase(active)
         self._cached_value = None
+        self._losses = None
         self._rebuild()
 
     def add(self, sensor: int) -> None:
@@ -176,6 +186,7 @@ class IncrementalEvaluator:
         self._pending.append((sensor, True))
         self._delta[sensor] = True
         self._cached_value = None
+        self._losses = None
         self._on_add(sensor, was_member)
 
     def remove(self, sensor: int) -> None:
@@ -185,6 +196,7 @@ class IncrementalEvaluator:
         self._pending.append((sensor, False))
         self._delta[sensor] = False
         self._cached_value = None
+        self._losses = None
         self._on_remove(sensor, was_member)
 
     def gain(self, sensor: int) -> float:
@@ -193,9 +205,16 @@ class IncrementalEvaluator:
         return self._gain(sensor)
 
     def loss(self, sensor: int) -> float:
-        """``U(S) - U(S - {v})`` -- bit-equal to ``fn.decrement(v, S)``."""
+        """``U(S) - U(S - {v})`` -- bit-equal to ``fn.decrement(v, S)``;
+        remembered per sensor until mutation, like :meth:`value`."""
         self._count("loss")
-        return self._loss(sensor)
+        losses = self._losses
+        if losses is None:
+            losses = self._losses = {}
+        found = losses.get(sensor)
+        if found is None:
+            found = losses[sensor] = self._loss(sensor)
+        return found
 
     def value(self) -> float:
         """``U(S)`` -- bit-equal to ``fn.value(S)``; cached until mutation."""
@@ -213,6 +232,7 @@ class IncrementalEvaluator:
         the queries issued when the snapshot was taken."""
         self._count("restore")
         active, self._cached_value, state = token
+        self._losses = None
         self._rebase(active)
         self._load_state(state)
 

@@ -47,21 +47,6 @@ class TestRectangle:
     def test_center(self):
         assert Rectangle(0, 0, 10, 20).center == Point(5, 10)
 
-    def test_grid_points_count_and_containment(self):
-        r = Rectangle.square(10)
-        pts = list(r.grid_points(4, 3))
-        assert len(pts) == 12
-        assert all(r.contains(p) for p in pts)
-
-    def test_grid_points_are_cell_centers(self):
-        r = Rectangle.square(4)
-        pts = list(r.grid_points(2, 2))
-        assert Point(1, 1) in pts and Point(3, 3) in pts
-
-    def test_grid_rejects_bad_dims(self):
-        with pytest.raises(ValueError, match="positive"):
-            list(Rectangle.square(1).grid_points(0, 2))
-
 
 class TestDisk:
     def test_area(self):

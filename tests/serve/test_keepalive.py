@@ -284,3 +284,55 @@ class TestExpectContinue:
         head, _, payload = final.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 200 ")
         assert json.loads(payload)["result"]["total_utility"] > 0
+
+
+class TestChunkedBody:
+    def test_chunked_body_gets_411_and_closes(self, make_service):
+        """Nothing here decodes a ``Transfer-Encoding: chunked`` body, so
+        it is refused unread: the structured 411 announces the close,
+        the connection ends, and the chunk bytes and the request sent
+        behind them are never parsed as requests."""
+        service, _ = make_service()
+        body = json.dumps(solve_body()).encode("utf-8")
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        request = (
+            b"POST /v1/solve HTTP/1.1\r\n"
+            b"Host: localhost\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + chunked
+            + b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n"
+        )
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(request)
+            received = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+        head, _, payload = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411 ")
+        assert b"\r\nConnection: close" in head
+        length = int(
+            next(
+                line.split(b":", 1)[1]
+                for line in head.split(b"\r\n")
+                if line.lower().startswith(b"content-length:")
+            )
+        )
+        assert len(payload) == length  # one reply, then EOF
+        assert json.loads(payload)["error"]["code"] == "length-required"
+
+    def test_next_request_gets_a_fresh_connection(self, keepalive):
+        _, _, exchange = keepalive()
+        body = json.dumps(solve_body()).encode("utf-8")
+        # An iterable body with no length goes out chunked.
+        response, payload, _ = exchange("POST", "/v1/solve", raw=iter([body]))
+        assert response.status == 411
+        assert response.getheader("Connection") == "close"
+        assert json.loads(payload)["error"]["code"] == "length-required"
+
+        response, payload, _ = exchange("GET", "/healthz")
+        assert response.status == 200
+        assert json.loads(payload)["kind"] == "repro-health"

@@ -20,9 +20,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.batched.batch import family_of
 from repro.core.problem import SchedulingProblem
 from repro.core.repair import greedy_repair
 from repro.energy.period import ChargingPeriod
+from repro.obs.registry import get_registry
 from repro.sessions import (
     DeltaError,
     Session,
@@ -284,3 +286,86 @@ def test_pure_apply_agrees_with_session_state():
     assert effect.structural
     outcome = session.apply(delta_from_dict({"kind": "rho-change", "rho": 4}))
     assert outcome.structural and outcome.resolve == "cold"
+
+
+def _kernel_utilities():
+    """One utility per batch-kernel family (a target system qualifies
+    only with plain detection targets)."""
+    rng = random.Random(20261021)
+    covers = [set(range(0, 9)), set(range(5, N)), {1, 7, 12}]
+    return {
+        "homogeneous-detection": HomogeneousDetectionUtility(range(N), p=0.4),
+        "detection": DetectionUtility(
+            {v: round(rng.uniform(0.1, 0.7), 3) for v in range(N)}
+        ),
+        "logsum": LogSumUtility({v: 1.0 + 0.3 * (v % 5) for v in range(N)}),
+        "target-system": TargetSystem(
+            covers,
+            [
+                DetectionUtility({v: rng.uniform(0.2, 0.6) for v in cover})
+                for cover in covers
+            ],
+        ),
+    }
+
+
+KERNEL_FAMILIES = sorted(_kernel_utilities())
+
+
+def _failed_sets(seed):
+    """Random failed sets, plus none, all but one and all failed."""
+    rng = random.Random(seed)
+    sets = [set(), set(range(1, N)), set(range(N - 1)), set(range(N))]
+    sets += [set(rng.sample(range(N), rng.randint(1, N - 2))) for _ in range(6)]
+    return sets
+
+
+def _cold_plan_counters():
+    registry = get_registry()
+    return (
+        registry.sample_value(
+            "repro_greedy_marginal_evals_total", variant="repair"
+        ) or 0,
+        sum(
+            registry.sample_value(
+                "repro_batched_instances_total", family=family
+            ) or 0
+            for family in KERNEL_FAMILIES
+        ),
+    )
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+def test_cold_plan_on_the_kernel_equals_greedy_repair(family):
+    """A kernel family's cold re-plan runs the width-1 batch kernel over
+    the live set and places exactly what greedy_repair places, in the
+    same order (the order fixes each slot set's layout downstream)."""
+    problem = SchedulingProblem(
+        num_sensors=N,
+        period=ChargingPeriod.from_ratio(3.0),
+        utility=_kernel_utilities()[family],
+    )
+    assert family_of(problem) == family
+    session = Session(problem, consistency="exact")
+    for failed in _failed_sets(len(family)):
+        live = sorted(set(range(N)) - failed)
+        repair_evals, batched = _cold_plan_counters()
+        plan = session._plan_cold(problem, live, None)
+        assert _cold_plan_counters() == (repair_evals, batched + 1)
+        reference = greedy_repair(
+            live, problem.slots_per_period, problem.utility
+        )
+        assert list(plan.items()) == list(reference.assignment.items())
+
+
+def test_cold_plan_without_a_kernel_stays_serial():
+    problem = make_problem("weighted-coverage")
+    assert family_of(problem) is None
+    session = Session(problem, consistency="exact")
+    live = sorted(set(range(N)) - {2, 5})
+    repair_evals, batched = _cold_plan_counters()
+    plan = session._plan_cold(problem, live, None)
+    after = _cold_plan_counters()
+    assert after[0] > repair_evals and after[1] == batched
+    reference = greedy_repair(live, problem.slots_per_period, problem.utility)
+    assert list(plan.items()) == list(reference.assignment.items())

@@ -1,7 +1,9 @@
 """Unit tests for the Session state machine: resolve modes, rollback,
 memoization, checkpointing, and the full-resolve escape hatch."""
 
+import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core.problem import SchedulingProblem
 from repro.core.repair import greedy_repair
 from repro.energy.period import ChargingPeriod
+from repro.obs.registry import get_registry
 from repro.runtime.retry import DeadlineExceededError
 from repro.sessions import (
     ColdResolveUnavailableError,
@@ -25,6 +28,7 @@ from repro.utility.detection import (
     DetectionUtility,
     HomogeneousDetectionUtility,
 )
+from repro.utility.incremental import IncrementalEvaluator
 
 
 def make_problem(n=12, rho=3.0, p=0.4):
@@ -180,6 +184,50 @@ class TestRollback:
             )
         assert session.assignment == before
         assert session.seq == 0
+
+
+class TestOpAccounting:
+    def test_every_evaluator_op_reaches_the_registry(self, monkeypatch):
+        """Warm repairs, memo re-adoptions and rollbacks all work on the
+        session's own evaluators; the ops counter must read exactly the
+        ops they did, with none left behind on a replaced list."""
+        rng = random.Random(7)
+        problem = SchedulingProblem(
+            num_sensors=40,
+            period=ChargingPeriod.from_ratio(4.0),
+            utility=DetectionUtility(
+                {v: rng.uniform(0.05, 0.6) for v in range(40)}
+            ),
+        )
+        session = Session(problem)
+        registry = get_registry()
+        registry.reset()
+        done = Counter()
+        count = IncrementalEvaluator._count
+
+        def counting(self, op):
+            done[(self.family, op)] += 1
+            count(self, op)
+
+        monkeypatch.setattr(IncrementalEvaluator, "_count", counting)
+        for _ in range(200):
+            failed = sorted(session.failed)
+            if failed and (len(failed) > 20 or rng.random() < 0.4):
+                kind, sensor = "sensor-recovered", rng.choice(failed)
+            else:
+                kind = "sensor-failed"
+                sensor = rng.choice(sorted(session.live_sensors()))
+            session.apply(delta_from_dict({"kind": kind, "sensor": sensor}))
+        with pytest.raises(DeltaError):  # a rollback flushes too
+            session.apply(
+                delta_from_dict({"kind": "sensor-failed", "sensor": 99})
+            )
+        assert done[("detection", "gain")] > 0
+        assert done[("detection", "loss")] > 0
+        for (family, op), ops in done.items():
+            assert registry.sample_value(
+                "repro_utility_incremental_ops_total", family=family, op=op
+            ) == ops, (family, op)
 
 
 class TestBreakerHook:

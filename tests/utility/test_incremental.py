@@ -320,6 +320,7 @@ class DeferredChainMachine(RuleBasedStateMachine):
             make_evaluator(self.fn) if incremental
             else IncrementalEvaluator(self.fn)
         )
+        self.incremental = incremental
         self.deferred = incremental and family in COUNTER_FAMILIES
         self.model = frozenset()
         self.built = self.ev._built
@@ -380,6 +381,23 @@ class DeferredChainMachine(RuleBasedStateMachine):
         self.ev.restore(token)
         self.model = model
         assert self.ev.active is token[0]
+        self.built = self.ev._built
+
+    @rule(sensors=st.lists(st.sampled_from(PROBES), min_size=1, max_size=4))
+    def probe_loss(self, sensors):
+        # Losses are remembered until the next mutation: asked twice
+        # between mutations, each answer must still be a fresh
+        # evaluator's over the same set, and every query counts.
+        fresh = (
+            make_evaluator(self.fn) if self.incremental
+            else IncrementalEvaluator(self.fn)
+        )
+        fresh.reset(self.model)
+        counted = self.ev._ops.get("loss", 0)
+        for v in sensors + sensors:
+            assert _same(self.ev.loss(v), fresh.loss(v))
+        assert self.ev._ops["loss"] == counted + 2 * len(sensors)
+        # The base and area evaluators build the set to answer a loss.
         self.built = self.ev._built
 
     @rule(first=st.sampled_from(("active", "value", "loss", "gain")))
